@@ -6,7 +6,9 @@
 //! its compilation statistics; candidates whose statistics/binaries duplicate
 //! already-observed points are filtered (the coverage issue, §5.3.4 /
 //! Table 5.2); a GP cost model over statistics features (§5.3.3) scores the
-//! rest with a UCB acquisition; the winner is *measured* (expensive, budgeted).
+//! rest with a UCB acquisition; the winners are *measured* (expensive,
+//! budgeted). One [`Session`] runs these phases in a single loop for every
+//! batch size q; q=1 is a batch of one.
 
 use crate::cache::BoundedCache;
 use crate::service::{SessionEnv, SessionExit, SessionResult};
@@ -15,12 +17,13 @@ use citroen_bo::heuristics::DiscreteOneLambda;
 use citroen_bo::{draw_mc_eps, greedy_batch, Acquisition, SeqCanonicalizer};
 use citroen_gp::{Gp, GpConfig, GpHypers, Mat};
 use citroen_ir::module::Module;
-use citroen_passes::{PassId, Registry, Stats};
+use citroen_passes::{oracle, PassId, Stats};
 use citroen_rt::par::WorkerPool;
 use citroen_rt::rng::StdRng;
 use citroen_rt::rng::{Rng, SeedableRng};
 use citroen_telemetry as telemetry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which features the cost model is fitted on (Fig. 5.8/5.9 ablations).
@@ -50,7 +53,7 @@ pub struct CitroenConfig {
     /// UCB exploration weight.
     pub beta: f64,
     /// Candidates generated per iteration (the paper compiles these in
-    /// parallel; we do too via `citroen_rt::par` in the batch-compile path).
+    /// parallel; so do batched sessions, on the `rt::par` worker pool).
     pub candidates: usize,
     /// Initial random sequences measured before the model starts.
     pub init_random: usize,
@@ -83,9 +86,6 @@ pub struct CitroenConfig {
     /// so genomes differing only in statically-dead passes collapse onto one
     /// compile-cache entry. Off by default (paper-faithful search).
     pub oracle_prune: bool,
-    /// Append the oracle's per-pass verdict bits (computed on the *optimised*
-    /// candidate module) to the GP feature vector. Off by default.
-    pub oracle_features: bool,
     /// When `oracle_prune` is on, additionally collapse immediate duplicate
     /// runs of idempotent passes ([`citroen_passes::Pass::is_idempotent`])
     /// during canonicalisation, so `p,p` genomes share `p`'s compile-cache
@@ -103,15 +103,13 @@ pub struct CitroenConfig {
     /// work model per task. Ignored (with a warning) when unreadable.
     pub oracle_graph: Option<String>,
     /// Measurements selected and profiled per model-guided iteration (q).
-    /// `1` runs the historical strictly-sequential loop, bit-identical to
-    /// previous releases; `q > 1` selects a greedy qUCB/qEI batch, compiles
-    /// and measures it on a persistent `rt::par` worker pool, and overlaps
-    /// the GP fit with the in-flight measurements (one-batch-stale model).
+    /// `1` measures the analytic UCB argmax of a model refitted on every
+    /// observation, all in the calling thread, bit-identical to previous
+    /// releases; `q > 1` selects a greedy qUCB batch, compiles and measures
+    /// it on a persistent `rt::par` worker pool, and overlaps the GP fit
+    /// with the in-flight measurements (one-batch-stale model).
     /// Deterministic for a fixed seed at any q.
     pub batch: usize,
-    /// Monte-Carlo samples per acquisition evaluation during greedy batch
-    /// construction (only used when `batch > 1`).
-    pub mc_samples: usize,
     /// Canonical-genome compile-cache capacity (entries; `0` = unbounded).
     /// Evictions are FIFO and counted on `citroen.compile_cache_evictions`.
     pub compile_cache_cap: usize,
@@ -134,26 +132,77 @@ impl Default for CitroenConfig {
             warm_start: None,
             init_seeds: Vec::new(),
             oracle_prune: false,
-            oracle_features: false,
             idem_collapse: true,
             subsume_collapse: false,
             oracle_graph: None,
             batch: 1,
-            mc_samples: 32,
             compile_cache_cap: 1024,
             seed: 0,
         }
     }
 }
 
-/// One observed point: genome, features, runtime.
-struct Observation {
+/// Monte-Carlo samples per acquisition evaluation during greedy batch
+/// construction. The first pick is analytic, so q=1 never reads them.
+const MC_SAMPLES: usize = 32;
+
+/// A point of the search space as the cost model sees it: the genome, its
+/// compilation statistics, and its Autophase features (empty unless the
+/// model reads them).
+struct Point {
     genome: Vec<u16>,
     stats: Stats,
     autophase: Vec<f64>,
-    /// Oracle verdict bits of the optimised module (empty when disabled).
-    oracle: Vec<f64>,
+}
+
+/// One observed point and its measured runtime.
+struct Observation {
+    point: Point,
     runtime: f64,
+}
+
+/// One compile's hot-module statistics, fingerprint, and optimised module.
+type Compiled = (Stats, u64, Module);
+
+/// A compiled candidate: its point, the canonical genome that was actually
+/// compiled, and the hot module's fingerprint and optimised module.
+struct Candidate {
+    point: Point,
+    eff: Vec<u16>,
+    fp: u64,
+    module: Module,
+}
+
+impl Candidate {
+    fn new(genome: Vec<u16>, eff: Vec<u16>, compiled: Compiled, kind: FeatureKind) -> Self {
+        let (stats, fp, module) = compiled;
+        let autophase = match kind {
+            FeatureKind::Autophase => citroen_passes::autophase::autophase_features(&module),
+            _ => Vec::new(),
+        };
+        Candidate { point: Point { genome, stats, autophase }, eff, fp, module }
+    }
+}
+
+/// GP training input over the admitted observations, plus the feature scale
+/// the fitted model must be paired with.
+struct FitJob {
+    x: Mat,
+    y: Vec<f64>,
+    gp: GpConfig,
+    scale: Vec<f64>,
+}
+
+/// A unit of the measure phase: a pick to execute, or the GP fit that a
+/// pipelined session overlaps with the measurements.
+enum Work {
+    Measure(Box<Candidate>),
+    Fit(FitJob),
+}
+
+enum Done {
+    Measure(Box<Candidate>, u64, Option<Result<(f64, Duration), (TuneError, Duration)>>),
+    Fit(Box<Gp>, Vec<f64>),
 }
 
 /// Introspection output: the fitted cost model's most impactful statistics
@@ -202,72 +251,564 @@ pub fn run_citroen_session(
             ("passes", task.registry.len() as u64),
         ],
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let len = task.seq_len();
-    let npasses = task.registry.len();
-    let hot = task.hot();
-    let shared = env.shared_cache.clone();
-    let tenant = env.ctl.tenant;
-    // Namespaces this task's genomes in the cross-tenant cache; unused (0)
-    // when no shared cache is attached, skipping the module print.
-    let src_fp = if shared.is_some() { task.source_fingerprint(hot) } else { 0 };
-    let mut exit = SessionExit::Completed;
-    let mut trace = TuneTrace::default();
-    let mut obs: Vec<Observation> = Vec::new();
-    let mut seen_fps: HashSet<u64> = HashSet::new();
-    let mut seen_stats: HashSet<String> = HashSet::new();
-    let mut key_union: Vec<String> = Vec::new();
+    Session::new(task, budget, cfg, env).run()
+}
 
-    let mut des = DiscreteOneLambda::new(len, npasses, &mut rng);
-    if let Some(mr) = cfg.mutation_rate {
-        des.mutation_rate = mr;
+/// One tuning session. [`Session::run`] drives the phases — init design →
+/// generate → compile sweep → coverage filter → fit → acquire →
+/// measure/admit → end of iteration — in one loop for every batch size q,
+/// which changes behaviour only through `pipelined` (q > 1):
+///
+/// - **pipelined:** unique compile misses compile on the worker pool; the
+///   picks are measured from the modules their sweep compiled, on the pool,
+///   while the next GP fit runs alongside them — the selection model is one
+///   batch stale (the standard asynchronous-BO trade).
+/// - **sequential (q = 1):** everything runs in the session's own thread and
+///   `env.pool` is never touched (the daemon's shared pool serialises its
+///   callers one batch at a time); the model is refitted on every admitted
+///   observation before acquiring; the pick is resolved through the compile
+///   path again, so compile accounting is the per-candidate loop's.
+struct Session<'a> {
+    task: &'a mut Task,
+    cfg: &'a CitroenConfig,
+    env: &'a SessionEnv,
+    budget: usize,
+    /// Batch size q (at least 1).
+    q: usize,
+    pipelined: bool,
+    /// The pipelined policy's worker pool; `None` at q = 1.
+    pool: Option<Arc<WorkerPool>>,
+    rng: StdRng,
+    /// MC noise for greedy batch construction: a dedicated stream, so the
+    /// candidate-generation RNG does not depend on q.
+    batch_rng: StdRng,
+    des: DiscreteOneLambda,
+    canon: Option<SeqCanonicalizer>,
+    /// Canonical genome → compile result; only consulted when
+    /// canonicalisation is on, so the paper-faithful default path is
+    /// untouched. Bounded: entries hold a full `Module` clone, so long-budget
+    /// runs (and the daemon) must not grow it without limit.
+    compile_cache: BoundedCache<Vec<u16>, Compiled>,
+    compile_cache_hits: u64,
+    /// Namespaces this task's genomes in the cross-tenant cache; unused (0)
+    /// when no shared cache is attached, skipping the module print.
+    src_fp: u64,
+    trace: TuneTrace,
+    obs: Vec<Observation>,
+    seen_fps: HashSet<u64>,
+    seen_stats: HashSet<String>,
+    key_union: Vec<String>,
+    hypers: Option<GpHypers>,
+    /// Selection model: (gp, feature scale).
+    model: Option<(Gp, Vec<f64>)>,
+    iter: usize,
+    /// Measurement count at the last iteration that consumed budget, and
+    /// the iterations since then.
+    last_meas: usize,
+    stagnant: usize,
+    exit: SessionExit,
+}
+
+impl<'a> Session<'a> {
+    fn new(
+        task: &'a mut Task,
+        budget: usize,
+        cfg: &'a CitroenConfig,
+        env: &'a SessionEnv,
+    ) -> Self {
+        let q = cfg.batch.max(1);
+        let pipelined = q > 1;
+        // Persistent pool, sized for the wider of the two per-iteration
+        // fan-outs (candidate compile sweep; q measurements + 1 fit).
+        // Spawning per iteration would dominate at small q. The daemon
+        // attaches one shared pool so N tenants don't spawn N×threads.
+        let pool = pipelined.then(|| {
+            env.pool.clone().unwrap_or_else(|| {
+                let workers = citroen_rt::par::thread_count(cfg.candidates.max(q + 1));
+                Arc::new(WorkerPool::new(workers))
+            })
+        });
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (len, npasses) = (task.seq_len(), task.registry.len());
+        let mut des = DiscreteOneLambda::new(len, npasses, &mut rng);
+        if let Some(mr) = cfg.mutation_rate {
+            des.mutation_rate = mr;
+        }
+        if let Some(ws) = &cfg.warm_start {
+            des.incumbent = resized(ws.iter().map(|p| p.0), len);
+        }
+        let canon = canonicalizer(task, cfg, env);
+        let src_fp = env.shared_cache.as_ref().map_or(0, |_| task.source_fingerprint(task.hot()));
+        Session {
+            task,
+            cfg,
+            env,
+            budget,
+            q,
+            pipelined,
+            pool,
+            rng,
+            batch_rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
+            des,
+            canon,
+            compile_cache: BoundedCache::new(cfg.compile_cache_cap),
+            compile_cache_hits: 0,
+            src_fp,
+            trace: TuneTrace::default(),
+            obs: Vec::new(),
+            seen_fps: HashSet::new(),
+            seen_stats: HashSet::new(),
+            key_union: Vec::new(),
+            hypers: None,
+            model: None,
+            iter: 0,
+            last_meas: 0,
+            stagnant: 0,
+            exit: SessionExit::Completed,
+        }
     }
-    if let Some(ws) = &cfg.warm_start {
-        let mut g: Vec<u16> = ws.iter().map(|p| p.0).collect();
-        g.resize(len, 0);
-        des.incumbent = g;
+
+    fn run(mut self) -> SessionResult {
+        self.init_design();
+        self.last_meas = self.task.measurements;
+        while self.exit == SessionExit::Completed && self.task.measurements < self.budget {
+            if let Some(e) = self.env.ctl.interrupted() {
+                self.exit = e;
+                break;
+            }
+            let _iter_span = telemetry::span("iteration");
+            self.iteration();
+            if self.end_iteration() {
+                break;
+            }
+        }
+        self.finish()
     }
 
-    let genome_to_seq =
-        |g: &[u16]| -> Vec<PassId> { g.iter().map(|&v| PassId(v)).collect() };
+    /// Initial design: the DES incumbent, any injected transfer seeds, then
+    /// a random fill up to `init_random` total. With no seeds the random
+    /// stream is identical to previous releases.
+    fn init_design(&mut self) {
+        let mut first: Vec<Vec<u16>> = vec![self.des.incumbent.clone()];
+        let (len, npasses) = (self.task.seq_len(), self.task.registry.len());
+        for s in &self.cfg.init_seeds {
+            first.push(resized(s.iter().map(|&v| if (v as usize) < npasses { v } else { 0 }), len));
+        }
+        while first.len() < self.cfg.init_random.max(1) {
+            first.push(self.random_genome());
+        }
+        let _init_span = telemetry::span("init");
+        for g in first {
+            if let Some(e) = self.env.ctl.interrupted() {
+                self.exit = e;
+                break;
+            }
+            if self.task.measurements >= self.budget {
+                break;
+            }
+            self.observe(g);
+            self.progress();
+        }
+    }
 
-    // Oracle-based sequence canonicalisation (off by default): verdicts on
-    // the source hot module give the dead mask; running each pass once gives
-    // the module-local enables edges that keep a dead pass when an earlier
-    // kept pass may wake it. A persisted interaction graph (`oracle_graph`)
-    // replaces the per-task enables derivation and supplies the work model;
-    // `subsume_collapse` adds the module-independent work-class dataflow.
-    let graph: Option<citroen_passes::oracle::InteractionGraph> = match env.graph.as_deref() {
-        // The daemon loads the persisted graph once and shares it across
-        // tenants; an attached graph takes precedence over the per-run path.
-        Some(g) => Some(g.clone()),
-        None => cfg.oracle_graph.as_deref().and_then(|path| {
-            let load = std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| citroen_passes::oracle::InteractionGraph::from_json(&t));
-            match load {
-                Ok(g) => Some(g),
-                Err(e) => {
-                    eprintln!("warning: ignoring oracle graph '{path}': {e}");
+    /// One model-guided iteration, up to its end-of-iteration bookkeeping.
+    fn iteration(&mut self) {
+        telemetry::counter("citroen.iterations", 1);
+        let cands = self.generate();
+        self.trace.candidates_generated += cands.len();
+        let mut compiled = if self.pipelined {
+            self.compile_pooled(cands)
+        } else {
+            // The pick is compiled again before it is measured, so the
+            // sequential sweep keeps no modules.
+            let strip = |c: Candidate| Candidate { module: Module::default(), ..c };
+            cands.into_iter().map(|g| strip(self.compile(g))).collect()
+        };
+        if self.cfg.coverage_filter {
+            self.coverage_filter(&mut compiled);
+        }
+        if compiled.is_empty() {
+            // Whole batch redundant: take a random probe to escape (tiny hot
+            // modules can exhaust their distinct-binary space entirely).
+            let g = self.random_genome();
+            self.observe(g);
+            return;
+        }
+
+        let t_model = Instant::now();
+        for c in &compiled {
+            grow_keys(&mut self.key_union, &c.point.stats);
+        }
+        if !self.pipelined || self.model.is_none() {
+            self.fit();
+        }
+        let picks = self.acquire(&compiled);
+        let overlapped_fit = self.pipelined.then(|| self.fit_job());
+        self.task.add_model_time(t_model.elapsed());
+
+        let mut slots: Vec<Option<Candidate>> = compiled.into_iter().map(Some).collect();
+        let mut picked: Vec<Candidate> =
+            picks.iter().map(|&i| slots[i].take().expect("picks are distinct")).collect();
+        if !self.pipelined {
+            picked = picked.into_iter().map(|c| self.compile(c.point.genome)).collect();
+        }
+        self.measure(picked, overlapped_fit);
+    }
+
+    /// Generate phase: DES mutants of the search history topped up with
+    /// random exploration (3:1), or pure random sequences.
+    fn generate(&mut self) -> Vec<Vec<u16>> {
+        let mut cands = match self.cfg.generator {
+            GeneratorKind::Des => self.des.ask(&mut self.rng, (self.cfg.candidates * 3) / 4),
+            GeneratorKind::Random => Vec::new(),
+        };
+        while cands.len() < self.cfg.candidates {
+            cands.push(self.random_genome());
+        }
+        cands
+    }
+
+    fn random_genome(&mut self) -> Vec<u16> {
+        let npasses = self.task.registry.len();
+        (0..self.task.seq_len()).map(|_| self.rng.gen_range(0..npasses) as u16).collect()
+    }
+
+    fn canon_genome(&self, g: &[u16]) -> Vec<u16> {
+        match &self.canon {
+            Some(c) => {
+                let idx: Vec<usize> = g.iter().map(|&v| v as usize).collect();
+                c.canonicalize(&idx).into_iter().map(|v| v as u16).collect()
+            }
+            None => g.to_vec(),
+        }
+    }
+
+    /// Look a canonical genome up in the local cache (canonicalising sessions
+    /// only), then in the cross-tenant cache when one is attached.
+    fn lookup(&mut self, eff: &Vec<u16>) -> Option<Compiled> {
+        let local = if self.canon.is_some() { self.compile_cache.get(eff).cloned() } else { None };
+        if let Some(hit) = local {
+            self.compile_cache_hits += 1;
+            telemetry::counter("citroen.compile_cache_hits", 1);
+            return Some(hit);
+        }
+        // Adopting another tenant's result is trajectory-neutral: compilation
+        // is a pure function of (source module, canonical sequence), so only
+        // the compile counters differ from a standalone run.
+        let hit = self.env.shared_cache.as_ref()?.get(self.src_fp, eff, self.env.ctl.tenant)?;
+        telemetry::counter("citroen.shared_cache_hits", 1);
+        Some(hit)
+    }
+
+    /// Remember `c` in the local canonical-genome cache (canonicalising
+    /// sessions only) and, for a fresh compile, publish it to the
+    /// cross-tenant cache (first writer wins; losing a race costs nothing).
+    fn remember(&mut self, c: &Candidate, fresh: bool) {
+        let entry = || (c.point.stats.clone(), c.fp, c.module.clone());
+        if self.canon.is_some()
+            && self.compile_cache.peek(&c.eff).is_none()
+            && self.compile_cache.insert(c.eff.clone(), entry())
+        {
+            telemetry::counter("citroen.compile_cache_evictions", 1);
+        }
+        if let Some(shared) = self.env.shared_cache.as_ref().filter(|_| fresh) {
+            let (stats, fp, module) = entry();
+            shared.insert(self.src_fp, c.eff.clone(), self.env.ctl.tenant, stats, fp, module);
+        }
+    }
+
+    /// Compile one genome in the session's thread: through the caches, else
+    /// a fresh compile that feeds them.
+    fn compile(&mut self, genome: Vec<u16>) -> Candidate {
+        let eff = self.canon_genome(&genome);
+        if let Some(hit) = self.lookup(&eff) {
+            return Candidate::new(genome, eff, hit, self.cfg.features);
+        }
+        let fresh = self.task.compile_hot(self.task.hot(), &genome_to_seq(&eff));
+        let c = Candidate::new(genome, eff, fresh, self.cfg.features);
+        self.remember(&c, true);
+        c
+    }
+
+    /// Pipelined compile sweep. The caches are resolved in candidate order
+    /// first (hit accounting stays deterministic), then the unique misses
+    /// compile on the pool; per-candidate `compile` spans nest under this
+    /// `batch` span via the worker hooks.
+    fn compile_pooled(&mut self, cands: Vec<Vec<u16>>) -> Vec<Candidate> {
+        let sweep_t0 = Instant::now();
+        let sweep_span = telemetry::span("batch");
+        let mut jobs: Vec<Vec<u16>> = Vec::new();
+        // Per candidate: its canonical genome and a cached result or the
+        // index of the job that compiles it.
+        let mut slots: Vec<(Vec<u16>, Result<Compiled, usize>)> = Vec::new();
+        for g in &cands {
+            let eff = self.canon_genome(g);
+            let slot = if let Some(hit) = self.lookup(&eff) {
+                Ok(hit)
+            } else if let Some(j) = jobs.iter().position(|e| *e == eff) {
+                // Within-sweep repeat: shares the first occurrence's compile
+                // (a cache hit in the sequential accounting when
+                // canonicalisation is on).
+                if self.canon.is_some() {
+                    self.compile_cache_hits += 1;
+                    telemetry::counter("citroen.compile_cache_hits", 1);
+                }
+                Err(j)
+            } else {
+                jobs.push(eff.clone());
+                Err(jobs.len() - 1)
+            };
+            slots.push((eff, slot));
+        }
+        let n_jobs = jobs.len();
+        let pass_work: usize = jobs.iter().map(Vec::len).sum();
+        let (task, hot) = (&*self.task, self.task.hot());
+        let pool = self.pool.as_deref().expect("pipelined sessions own a pool");
+        let results: Vec<Compiled> = pool.map(jobs, |eff| {
+            let _c = telemetry::span("compile");
+            task.compile_hot_pure(hot, &genome_to_seq(&eff))
+        });
+        drop(sweep_span);
+        // Wall-clock of the whole sweep (the honest figure for the
+        // fig5_12-style proportions), not the sum of per-core times.
+        self.task.note_compilations(n_jobs, sweep_t0.elapsed());
+        self.task.passes_executed += pass_work;
+
+        // Jobs are numbered in first-occurrence order. Each result moves into
+        // its first slot; only within-sweep repeats clone it.
+        let mut results = results.into_iter();
+        let mut first: Vec<usize> = Vec::with_capacity(n_jobs);
+        let mut out: Vec<Candidate> = Vec::with_capacity(cands.len());
+        for (g, (eff, slot)) in cands.into_iter().zip(slots) {
+            let fresh = matches!(slot, Err(j) if j == first.len());
+            let compiled = match slot {
+                Ok(hit) => hit,
+                Err(_) if fresh => {
+                    first.push(out.len());
+                    results.next().expect("one result per job")
+                }
+                Err(j) => {
+                    let f = &out[first[j]];
+                    (f.point.stats.clone(), f.fp, f.module.clone())
+                }
+            };
+            let c = Candidate::new(g, eff, compiled, self.cfg.features);
+            self.remember(&c, fresh);
+            out.push(c);
+        }
+        out
+    }
+
+    /// Coverage filter (§5.3.4): duplicated binaries or statistics vectors
+    /// carry no new information — skip their profiling.
+    fn coverage_filter(&mut self, compiled: &mut Vec<Candidate>) {
+        let before = compiled.len();
+        compiled.retain(|c| {
+            !self.seen_fps.contains(&c.fp) && !self.seen_stats.contains(&stats_sig(&c.point.stats))
+        });
+        // Also dedup within the sweep, on each component independently.
+        retain_batch_unique(compiled, |c| (stats_sig(&c.point.stats), c.fp));
+        let dropped = before - compiled.len();
+        telemetry::counter("citroen.coverage_dropped", dropped as u64);
+        self.trace.coverage_dropped += dropped;
+    }
+
+    /// Fit phase. Sequential sessions refit on every admitted observation;
+    /// pipelined sessions fit here only once, after which each model comes
+    /// from the fit overlapped with the previous batch's measurements.
+    fn fit(&mut self) {
+        let _fit_span = telemetry::span("fit");
+        let job = self.fit_job();
+        let gp = Gp::fit(job.x, &job.y, job.gp);
+        self.hypers = Some(gp.hypers());
+        self.model = Some((gp, job.scale));
+    }
+
+    /// The GP fit over the admitted observations. Hyperparameters warm-start
+    /// from the previous fit and are re-optimised every `fit_every`
+    /// iterations (refactorised only in between).
+    fn fit_job(&self) -> FitJob {
+        let (x, scale) = feature_matrix(&self.obs, &self.key_union, self.cfg.features);
+        let y: Vec<f64> = self.obs.iter().map(|o| o.runtime).collect();
+        let mut gp = self.cfg.gp.clone();
+        gp.init = self.hypers.clone();
+        if self.iter % self.cfg.fit_every != 0 && self.hypers.is_some() {
+            gp.fit_iters = 0;
+        }
+        FitJob { x, y, gp, scale }
+    }
+
+    /// Acquire phase: greedy qUCB selection. Its first pick is the exact
+    /// analytic UCB argmax (ties to the lowest index), so a batch of one is
+    /// the paper's sequential rule.
+    fn acquire(&mut self, compiled: &[Candidate]) -> Vec<usize> {
+        let _acquire_span = telemetry::span("acquire");
+        let (gp, scale) = self.model.as_ref().expect("the fit phase ran");
+        let best_raw = self.obs.iter().map(|o| o.runtime).fold(f64::INFINITY, f64::min);
+        let best_z = gp.transform().forward(best_raw);
+        let (keys, kind) = (&self.key_union, self.cfg.features);
+        let xs: Vec<_> = compiled.iter().map(|c| featurise(&c.point, keys, scale, kind)).collect();
+        let q = self.q.min(self.budget - self.task.measurements).min(compiled.len()).max(1);
+        let eps = draw_mc_eps(&mut self.batch_rng, MC_SAMPLES, q);
+        greedy_batch(gp, Acquisition::Ucb { beta: self.cfg.beta }, best_z, &xs, q, &eps)
+    }
+
+    /// Compile and measure one genome in the session's thread.
+    fn observe(&mut self, genome: Vec<u16>) {
+        let c = self.compile(genome);
+        self.measure(vec![c], None);
+    }
+
+    /// Measure phase: execute the picks, then admit them strictly in pick
+    /// order. Admission draws the measurement noise from the task RNG, so
+    /// this order (not worker timing) defines the stream — every q stays
+    /// deterministic for a fixed seed. An overlapped fit (pipelined
+    /// iterations only) runs on the pool alongside the measurements;
+    /// otherwise everything runs inline.
+    fn measure(&mut self, picks: Vec<Candidate>, overlapped_fit: Option<FitJob>) {
+        let pooled = overlapped_fit.is_some();
+        let mut items: Vec<Work> = picks.into_iter().map(|c| Work::Measure(Box::new(c))).collect();
+        items.extend(overlapped_fit.map(Work::Fit));
+        let (task, hot) = (&*self.task, self.task.hot());
+        let run = |w: Work| match w {
+            Work::Measure(c) => {
+                let (linked, fp) = task.assemble(&[(hot, &c.module)]);
+                let outcome = if task.cached_runtime(fp).is_some() {
                     None
+                } else {
+                    let _m = telemetry::span("measure");
+                    Some(task.execute_linked_pure(&linked))
+                };
+                Done::Measure(c, fp, outcome)
+            }
+            Work::Fit(job) => {
+                let _f = telemetry::span("fit");
+                Done::Fit(Box::new(Gp::fit(job.x, &job.y, job.gp)), job.scale)
+            }
+        };
+        let outs: Vec<Done> = match self.pool.as_deref().filter(|_| pooled) {
+            Some(pool) => {
+                let _batch_span = telemetry::span("batch");
+                pool.map(items, run)
+            }
+            None => items.into_iter().map(run).collect(),
+        };
+        for done in outs {
+            match done {
+                // A sequence that fails differential testing (§5.4.1) is
+                // discarded.
+                Done::Measure(c, fp, outcome) => {
+                    if let Ok(runtime) = self.task.admit_execution(fp, outcome) {
+                        self.admit(*c, runtime);
+                    }
+                }
+                Done::Fit(gp, scale) => {
+                    self.hypers = Some(gp.hypers());
+                    self.model = Some((*gp, scale));
                 }
             }
-        }),
-    };
-    let graph_inputs = graph.as_ref().map(|g| citroen_passes::oracle::canonicalizer_inputs(&task.registry, g));
-    let canon: Option<SeqCanonicalizer> = (cfg.oracle_prune || cfg.subsume_collapse).then(|| {
+        }
+    }
+
+    /// Admit one measured candidate into the search state.
+    fn admit(&mut self, c: Candidate, runtime: f64) {
+        self.des.tell(&c.point.genome, runtime);
+        grow_keys(&mut self.key_union, &c.point.stats);
+        self.seen_fps.insert(c.fp);
+        self.seen_stats.insert(stats_sig(&c.point.stats));
+        self.trace.record(runtime, vec![genome_to_seq(&c.eff)]);
+        self.trace.compiles_history.push(self.task.compilations);
+        self.obs.push(Observation { point: c.point, runtime });
+    }
+
+    /// End of iteration: progress event, stagnation bookkeeping, safety
+    /// valve; `true` stops the session. On benchmarks whose hot module
+    /// collapses to few distinct binaries, most candidates are duplicates
+    /// and cached measurements consume no budget: restart the DES incumbent
+    /// to escape, and stop when the search is exhausted.
+    fn end_iteration(&mut self) -> bool {
+        self.iter += 1;
+        self.progress();
+        if self.task.measurements != self.last_meas {
+            self.stagnant = 0;
+            self.last_meas = self.task.measurements;
+        } else {
+            self.stagnant += 1;
+            if self.stagnant % 20 == 19 {
+                let (len, npasses) = (self.task.seq_len(), self.task.registry.len());
+                self.des = DiscreteOneLambda::new(len, npasses, &mut self.rng);
+            }
+        }
+        self.stagnant > 80 || self.iter > self.budget * 20
+    }
+
+    /// Convergence-curve event, emitted after every budget-consuming step.
+    /// Guarded on `is_enabled` so the disabled path builds no field array;
+    /// `best_ns == 0` never occurs (runtimes are positive), so consumers can
+    /// treat 0 as "no measurement yet".
+    fn progress(&self) {
+        if telemetry::is_enabled() {
+            telemetry::event(
+                "progress",
+                &[
+                    ("iter", self.iter as u64),
+                    ("measurements", self.task.measurements as u64),
+                    ("compilations", self.task.compilations as u64),
+                    ("cache_hits", self.compile_cache_hits),
+                    ("coverage_dropped", self.trace.coverage_dropped as u64),
+                    ("last_ns", to_ns(self.trace.runtimes.last().copied())),
+                    ("best_ns", to_ns(self.trace.best_history.last().copied())),
+                ],
+            );
+        }
+    }
+
+    /// ARD impact report (Table 5.5): shortest length-scales = most
+    /// impactful.
+    fn finish(self) -> SessionResult {
+        let mut ranked: Vec<(String, f64)> = Vec::new();
+        if self.obs.len() >= 3 && self.cfg.features == FeatureKind::CompilationStats {
+            let FitJob { x, y, .. } = self.fit_job();
+            let gp = Gp::fit(x, &y, GpConfig { fit_iters: 60, ..self.cfg.gp.clone() });
+            ranked = self.key_union.into_iter().zip(gp.lengthscales()).collect();
+            ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        }
+        SessionResult { trace: self.trace, report: ImpactReport { ranked }, exit: self.exit }
+    }
+}
+
+/// Oracle- and subsumption-based sequence canonicalisation (off by default):
+/// verdicts on the source hot module give the dead mask; running each pass
+/// once gives the module-local enables edges that keep a dead pass when an
+/// earlier kept pass may wake it. A persisted interaction graph
+/// (`oracle_graph`, or one the daemon attached) replaces the per-task
+/// enables derivation and supplies the work model; `subsume_collapse` adds
+/// the module-independent work-class dataflow.
+fn canonicalizer(
+    task: &Task,
+    cfg: &CitroenConfig,
+    env: &SessionEnv,
+) -> Option<SeqCanonicalizer> {
+    // The daemon loads the persisted graph once and shares it across
+    // tenants; an attached graph takes precedence over the per-run path.
+    let graph = env.graph.as_deref().cloned().or_else(|| {
+        let path = cfg.oracle_graph.as_deref()?;
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|t| oracle::InteractionGraph::from_json(&t))
+            .map_err(|e| eprintln!("warning: ignoring oracle graph '{path}': {e}"))
+            .ok()
+    });
+    let graph_inputs = graph.as_ref().map(|g| oracle::canonicalizer_inputs(&task.registry, g));
+    (cfg.oracle_prune || cfg.subsume_collapse).then(|| {
         let n = task.registry.len();
         let (dead, mask) = if cfg.oracle_prune {
-            let src = &task.benchmark().modules[hot];
-            let dead = citroen_passes::oracle::dead_mask(&citroen_passes::oracle::verdicts(
-                &task.registry,
-                src,
-            ));
+            let src = &task.benchmark().modules[task.hot()];
+            let dead = oracle::dead_mask(&oracle::verdicts(&task.registry, src));
             let mask = match &graph_inputs {
                 Some((enables, _)) => enables.clone(),
                 None => {
-                    let (enables, _) =
-                        citroen_passes::oracle::interactions_for_module(&task.registry, src);
+                    let (enables, _) = oracle::interactions_for_module(&task.registry, src);
                     let mut mask = vec![0u64; n];
                     for e in &enables {
                         mask[e.from] |= 1 << e.to;
@@ -292,696 +833,31 @@ pub fn run_citroen_session(
             c = c.with_subsumption(fires, clears, produces);
         }
         c
-    });
-    let canon_genome = |g: &[u16]| -> Vec<u16> {
-        match &canon {
-            Some(c) => {
-                let idx: Vec<usize> = g.iter().map(|&v| v as usize).collect();
-                c.canonicalize(&idx).into_iter().map(|v| v as u16).collect()
-            }
-            None => g.to_vec(),
-        }
-    };
-    // Canonical genome → compile result; only consulted when pruning is on,
-    // so the paper-faithful default path is untouched. Bounded: entries hold
-    // a full `Module` clone, so long-budget runs (and the daemon) must not
-    // grow it without limit.
-    let mut compile_cache: BoundedCache<Vec<u16>, (Stats, u64, Module)> =
-        BoundedCache::new(cfg.compile_cache_cap);
-    let mut compile_cache_hits: u64 = 0;
+    })
+}
 
-    // Compile a genome (through the local canonical-genome cache when
-    // pruning is on, then the service's cross-tenant cache when attached);
-    // returns (canonical genome, stats, hot-module fingerprint, module).
-    macro_rules! compile_genome {
-        ($genome:expr) => {{
-            let eff: Vec<u16> = canon_genome($genome);
-            let local: Option<(Stats, u64, Module)> =
-                if canon.is_some() { compile_cache.get(&eff).cloned() } else { None };
-            if let Some((stats, fp, module)) = local {
-                compile_cache_hits += 1;
-                telemetry::counter("citroen.compile_cache_hits", 1);
-                (eff, stats, fp, module)
-            } else if let Some((stats, fp, module)) =
-                shared.as_ref().and_then(|c| c.get(src_fp, &eff, tenant))
-            {
-                // Adopting another tenant's result is trajectory-neutral:
-                // compilation is a pure function of (source module,
-                // canonical sequence), so this is exactly what a local
-                // compile would have produced — only the compile counters
-                // differ from a standalone run.
-                telemetry::counter("citroen.shared_cache_hits", 1);
-                (eff, stats, fp, module)
-            } else {
-                let seq = genome_to_seq(&eff);
-                let (stats, fp, module) = task.compile_hot(hot, &seq);
-                if canon.is_some()
-                    && compile_cache.insert(eff.clone(), (stats.clone(), fp, module.clone()))
-                {
-                    telemetry::counter("citroen.compile_cache_evictions", 1);
-                }
-                if let Some(c) = shared.as_ref() {
-                    c.insert(src_fp, eff.clone(), tenant, stats.clone(), fp, module.clone());
-                }
-                (eff, stats, fp, module)
-            }
-        }};
-    }
+/// A genome of exactly `len` genes: truncated, or padded with pass 0.
+fn resized(genes: impl Iterator<Item = u16>, len: usize) -> Vec<u16> {
+    genes.chain(std::iter::repeat(0)).take(len).collect()
+}
 
-    // Evaluate one genome end-to-end (compile + measure), updating the state.
-    macro_rules! observe {
-        ($genome:expr) => {{
-            let genome: Vec<u16> = $genome;
-            let (eff, stats, mod_fp, module) = compile_genome!(&genome);
-            let seq = genome_to_seq(&eff);
-            let (linked, fp) = task.assemble(&[(hot, &module)]);
-            match task.measure_linked(&linked, fp) {
-                Ok(runtime) => {
-                    des.tell(&genome, runtime);
-                    for k in stats.keys() {
-                        if !key_union.contains(&k) {
-                            key_union.push(k);
-                        }
-                    }
-                    seen_fps.insert(mod_fp);
-                    seen_stats.insert(stats_sig(&stats));
-                    let autophase = citroen_passes::autophase::autophase_features(&module);
-                    let oracle = oracle_bits(&task.registry, &module, cfg.oracle_features);
-                    trace.record(runtime, vec![seq.clone()]);
-                    trace.compiles_history.push(task.compilations);
-                    obs.push(Observation { genome, stats, autophase, oracle, runtime });
-                    true
-                }
-                Err(_) => {
-                    // Sequences that miscompile are discarded (differential
-                    // testing, §5.4.1); they cost a measurement attempt in the
-                    // paper's accounting too, but we simply skip them — our
-                    // passes are verified not to miscompile.
-                    false
-                }
-            }
-        }};
-    }
+fn genome_to_seq(g: &[u16]) -> Vec<PassId> {
+    g.iter().map(|&v| PassId(v)).collect()
+}
 
-    let mut iter = 0usize;
-    // Probe the tracing env vars once per run: `var_os` takes a lock on some
-    // platforms and the old code probed it (and stamped `Instant::now`) for
-    // every candidate in the compile sweep.
-    let trace_seq = std::env::var_os("CITROEN_TRACE_SEQ").is_some();
-    let trace_iters = std::env::var_os("CITROEN_TRACE").is_some();
-
-    // Convergence-curve event, emitted after every budget-consuming
-    // measurement. Guarded on `is_enabled` so the disabled path builds no
-    // field array; `best_ns == 0` never occurs (runtimes are positive), so
-    // consumers can treat 0 as "no measurement yet".
-    macro_rules! progress {
-        () => {
-            if telemetry::is_enabled() {
-                telemetry::event(
-                    "progress",
-                    &[
-                        ("iter", iter as u64),
-                        ("measurements", task.measurements as u64),
-                        ("compilations", task.compilations as u64),
-                        ("cache_hits", compile_cache_hits),
-                        ("coverage_dropped", trace.coverage_dropped as u64),
-                        ("last_ns", to_ns(trace.runtimes.last().copied())),
-                        ("best_ns", to_ns(trace.best_history.last().copied())),
-                    ],
-                );
-            }
-        };
-    }
-
-    // 1. Initial design: the DES incumbent, any injected transfer seeds,
-    //    then a random fill up to `init_random` total. With no seeds the
-    //    random stream is identical to previous releases.
-    let mut first: Vec<Vec<u16>> = vec![des.incumbent.clone()];
-    for s in &cfg.init_seeds {
-        let mut g: Vec<u16> =
-            s.iter().map(|&v| if (v as usize) < npasses { v } else { 0 }).collect();
-        g.resize(len, 0);
-        first.push(g);
-    }
-    while first.len() < cfg.init_random.max(1) {
-        first.push((0..len).map(|_| rng.gen_range(0..npasses) as u16).collect());
-    }
-    let init_span = telemetry::span("init");
-    for g in first {
-        if let Some(e) = env.ctl.interrupted() {
-            exit = e;
-            break;
-        }
-        if task.measurements >= budget {
-            break;
-        }
-        observe!(g);
-        progress!();
-    }
-    drop(init_span);
-
-    // 2. Model-guided search. `cfg.batch == 1` runs the historical
-    // strictly-sequential loop below, bit-identical to previous releases;
-    // `cfg.batch > 1` runs the batched, pipelined loop first and leaves the
-    // sequential loop's entry condition false.
-    let mut hypers: Option<GpHypers> = None;
-    let mut stag = StagnationState::new(task.measurements);
-
-    if cfg.batch > 1 && exit == SessionExit::Completed {
-        // Per-candidate work units shipped to the worker pool: q measurement
-        // jobs (assemble + execute + feature extraction for the picked
-        // modules) plus one GP-fit job that overlaps with them. The fit uses
-        // the observation set as of the previous barrier, so the selection
-        // model is exactly one batch stale — the standard asynchronous-BO
-        // trade (fresh measurements land one iteration later).
-        enum Work {
-            Measure(Box<(Vec<u16>, Vec<u16>, Stats, u64, Module)>),
-            Fit(Mat, Vec<f64>, GpConfig),
-        }
-        enum Done {
-            Measure {
-                genome: Vec<u16>,
-                eff: Vec<u16>,
-                stats: Stats,
-                mod_fp: u64,
-                fp: u64,
-                outcome: Option<Result<(f64, Duration), (TuneError, Duration)>>,
-                autophase: Vec<f64>,
-                oracle: Vec<f64>,
-            },
-            Fit(Gp),
-        }
-
-        // Persistent pool, sized for the wider of the two per-iteration
-        // fan-outs (candidate compile sweep; q measurements + 1 fit).
-        // Spawning per iteration would dominate at small q. The daemon
-        // attaches one shared pool so N tenants don't spawn N×threads.
-        let owned_pool;
-        let pool: &WorkerPool = match env.pool.as_deref() {
-            Some(p) => p,
-            None => {
-                owned_pool = WorkerPool::new(citroen_rt::par::thread_count(
-                    cfg.candidates.max(cfg.batch + 1),
-                ));
-                &owned_pool
-            }
-        };
-        // MC noise for greedy batch construction comes from a dedicated
-        // stream so the candidate-generation RNG stays aligned with q=1.
-        let mut batch_rng =
-            StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
-        // Selection model: (gp, feature scale), fitted one barrier back.
-        let mut model: Option<(Gp, Vec<f64>)> = None;
-
-        while task.measurements < budget {
-            if let Some(e) = env.ctl.interrupted() {
-                exit = e;
-                break;
-            }
-            let _iter_span = telemetry::span("iteration");
-            telemetry::counter("citroen.iterations", 1);
-            let cands: Vec<Vec<u16>> = match cfg.generator {
-                GeneratorKind::Des => {
-                    let n_des = (cfg.candidates * 3) / 4;
-                    let mut v = des.ask(&mut rng, n_des);
-                    for _ in 0..cfg.candidates - n_des {
-                        v.push((0..len).map(|_| rng.gen_range(0..npasses) as u16).collect());
-                    }
-                    v
-                }
-                GeneratorKind::Random => (0..cfg.candidates)
-                    .map(|_| (0..len).map(|_| rng.gen_range(0..npasses) as u16).collect())
-                    .collect(),
-            };
-            trace.candidates_generated += cands.len();
-
-            // Parallel compile sweep. The compile cache is resolved
-            // sequentially first (hit accounting stays deterministic), then
-            // the unique misses compile on the pool; per-candidate `compile`
-            // spans nest under this `batch` span via the worker hooks.
-            let sweep_t0 = Instant::now();
-            let sweep_span = telemetry::span("batch");
-            let mut jobs: Vec<Vec<u16>> = Vec::new();
-            let mut job_of: HashMap<Vec<u16>, usize> = HashMap::new();
-            // Per candidate: Ok(cached result) | Err(index into `jobs`).
-            let mut slots: Vec<Result<(Stats, u64, Module), usize>> = Vec::new();
-            let mut effs: Vec<Vec<u16>> = Vec::new();
-            for g in &cands {
-                let eff = canon_genome(g);
-                let local: Option<(Stats, u64, Module)> =
-                    if canon.is_some() { compile_cache.get(&eff).cloned() } else { None };
-                if let Some(hit) = local {
-                    compile_cache_hits += 1;
-                    telemetry::counter("citroen.compile_cache_hits", 1);
-                    slots.push(Ok(hit));
-                } else if let Some(hit) =
-                    shared.as_ref().and_then(|c| c.get(src_fp, &eff, tenant))
-                {
-                    telemetry::counter("citroen.shared_cache_hits", 1);
-                    slots.push(Ok(hit));
-                } else if let Some(&j) = job_of.get(&eff) {
-                    // Within-batch duplicate canonical genome: share the
-                    // first occurrence's compile (a cache hit in the
-                    // sequential loop's accounting when pruning is on).
-                    if canon.is_some() {
-                        compile_cache_hits += 1;
-                        telemetry::counter("citroen.compile_cache_hits", 1);
-                    }
-                    slots.push(Err(j));
-                } else {
-                    let j = jobs.len();
-                    job_of.insert(eff.clone(), j);
-                    jobs.push(eff.clone());
-                    slots.push(Err(j));
-                }
-                effs.push(eff);
-            }
-            let n_jobs = jobs.len();
-            let pass_work: usize = jobs.iter().map(Vec::len).sum();
-            let task_ref: &Task = task;
-            let compiled_jobs: Vec<(Stats, u64, Module)> = pool.map(jobs, |eff| {
-                let _c = telemetry::span("compile");
-                task_ref.compile_hot_pure(hot, &genome_to_seq(&eff))
-            });
-            drop(sweep_span);
-            // Wall-clock of the whole sweep (the honest figure for the
-            // fig5_12-style proportions), not the sum of per-core times.
-            task.note_compilations(n_jobs, sweep_t0.elapsed());
-            task.passes_executed += pass_work;
-            // Publish the sweep's unique compiles to the cross-tenant cache
-            // (first writer wins; losing a race costs nothing).
-            if let Some(c) = shared.as_ref() {
-                for (eff, &j) in &job_of {
-                    let (stats, fp, module) = &compiled_jobs[j];
-                    c.insert(src_fp, eff.clone(), tenant, stats.clone(), *fp, module.clone());
-                }
-            }
-
-            let mut compiled: Vec<(Vec<u16>, Vec<u16>, Stats, Vec<f64>, Vec<f64>, u64, Module)> =
-                Vec::new();
-            for (g, (eff, slot)) in cands.into_iter().zip(effs.into_iter().zip(slots)) {
-                let (stats, mod_fp, module) = match slot {
-                    Ok(hit) => hit,
-                    Err(j) => compiled_jobs[j].clone(),
-                };
-                if canon.is_some()
-                    && compile_cache.peek(&eff).is_none()
-                    && compile_cache.insert(eff.clone(), (stats.clone(), mod_fp, module.clone()))
-                {
-                    telemetry::counter("citroen.compile_cache_evictions", 1);
-                }
-                let ap = if cfg.features == FeatureKind::Autophase {
-                    citroen_passes::autophase::autophase_features(&module)
-                } else {
-                    Vec::new()
-                };
-                let ob = oracle_bits(&task.registry, &module, cfg.oracle_features);
-                compiled.push((g, eff, stats, ap, ob, mod_fp, module));
-            }
-
-            if cfg.coverage_filter {
-                let before = compiled.len();
-                compiled.retain(|(_, _, stats, _, _, fp, _)| {
-                    !seen_fps.contains(fp) && !seen_stats.contains(&stats_sig(stats))
-                });
-                retain_batch_unique(&mut compiled, |(_, _, stats, _, _, fp, _)| {
-                    (stats_sig(stats), *fp)
-                });
-                telemetry::counter(
-                    "citroen.coverage_dropped",
-                    (before - compiled.len()) as u64,
-                );
-                trace.coverage_dropped += before - compiled.len();
-            }
-            if compiled.is_empty() {
-                // Whole batch redundant: random probe, as in the q=1 loop.
-                let g: Vec<u16> = (0..len).map(|_| rng.gen_range(0..npasses) as u16).collect();
-                observe!(g);
-                iter += 1;
-                progress!();
-                if stag.update(task.measurements, &mut des, len, npasses, &mut rng) {
-                    break;
-                }
-                if iter > budget * 20 {
-                    break;
-                }
-                continue;
-            }
-
-            let t_model = Instant::now();
-            for (_, _, stats, _, _, _, _) in &compiled {
-                for k in stats.keys() {
-                    if !key_union.contains(&k) {
-                        key_union.push(k);
-                    }
-                }
-            }
-            // First model-guided iteration: no overlapped fit yet — fit now.
-            if model.is_none() {
-                let fit_span = telemetry::span("fit");
-                let (xmat, scale) = feature_matrix(&obs, &key_union, cfg.features);
-                let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
-                let mut gpc = cfg.gp.clone();
-                gpc.init = hypers.clone();
-                let gp = Gp::fit(xmat, &y, gpc);
-                hypers = Some(gp.hypers());
-                model = Some((gp, scale));
-                drop(fit_span);
-            }
-
-            // Greedy qUCB batch selection on the (one-batch-stale) model.
-            let acquire_span = telemetry::span("acquire");
-            let (gp, scale) = model.as_ref().expect("model fitted above");
-            let best_raw = obs.iter().map(|o| o.runtime).fold(f64::INFINITY, f64::min);
-            let best_z = gp.transform().forward(best_raw);
-            let acq = Acquisition::Ucb { beta: cfg.beta };
-            let xs: Vec<Vec<f64>> = compiled
-                .iter()
-                .map(|(g, _, stats, ap, ob, _, _)| {
-                    featurise(g, stats, ap, ob, &key_union, scale, cfg.features)
-                })
-                .collect();
-            let q_eff = cfg
-                .batch
-                .min(budget - task.measurements)
-                .min(compiled.len())
-                .max(1);
-            let eps = draw_mc_eps(&mut batch_rng, cfg.mc_samples, q_eff);
-            let picks = greedy_batch(gp, acq, best_z, &xs, q_eff, &eps);
-            drop(acquire_span);
-
-            // Next iteration's fit input: the observation set as of this
-            // barrier (the current batch is still in flight).
-            let (xmat, next_scale) = feature_matrix(&obs, &key_union, cfg.features);
-            let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
-            let mut gpc = cfg.gp.clone();
-            gpc.init = hypers.clone();
-            if iter % cfg.fit_every != 0 && hypers.is_some() {
-                gpc.fit_iters = 0;
-            }
-            task.add_model_time(t_model.elapsed());
-
-            // Pull picked candidates out in pick order; the already-compiled
-            // modules are reused (the q=1 loop recompiles its single pick).
-            let mut entries: Vec<Option<_>> = compiled.into_iter().map(Some).collect();
-            let mut items: Vec<Work> = picks
-                .iter()
-                .map(|&i| {
-                    let (g, eff, stats, _, _, mod_fp, module) =
-                        entries[i].take().expect("picks are distinct");
-                    Work::Measure(Box::new((g, eff, stats, mod_fp, module)))
-                })
-                .collect();
-            items.push(Work::Fit(xmat, y, gpc));
-
-            // Drain the batch: measurements and the overlapped fit run
-            // concurrently; results come back in input order.
-            let batch_span = telemetry::span("batch");
-            let task_ref: &Task = task;
-            let outs: Vec<Done> = pool.map(items, |w| match w {
-                Work::Measure(entry) => {
-                    let (genome, eff, stats, mod_fp, module) = *entry;
-                    let (linked, fp) = task_ref.assemble(&[(hot, &module)]);
-                    let outcome = if task_ref.cached_runtime(fp).is_some() {
-                        None
-                    } else {
-                        let _m = telemetry::span("measure");
-                        Some(task_ref.execute_linked_pure(&linked))
-                    };
-                    let autophase = citroen_passes::autophase::autophase_features(&module);
-                    let oracle = oracle_bits(&task_ref.registry, &module, cfg.oracle_features);
-                    Done::Measure { genome, eff, stats, mod_fp, fp, outcome, autophase, oracle }
-                }
-                Work::Fit(xmat, y, gpc) => {
-                    let _f = telemetry::span("fit");
-                    Done::Fit(Gp::fit(xmat, &y, gpc))
-                }
-            });
-            drop(batch_span);
-
-            // Admit strictly in batch order: admission draws the measurement
-            // noise from the task RNG, so this order (not worker timing)
-            // defines the stream — q>1 stays deterministic for a fixed seed.
-            for done in outs {
-                match done {
-                    Done::Measure {
-                        genome, eff, stats, mod_fp, fp, outcome, autophase, oracle,
-                    } => match task.admit_execution(fp, outcome) {
-                        Ok(runtime) => {
-                            des.tell(&genome, runtime);
-                            for k in stats.keys() {
-                                if !key_union.contains(&k) {
-                                    key_union.push(k);
-                                }
-                            }
-                            seen_fps.insert(mod_fp);
-                            seen_stats.insert(stats_sig(&stats));
-                            trace.record(runtime, vec![genome_to_seq(&eff)]);
-                            trace.compiles_history.push(task.compilations);
-                            obs.push(Observation { genome, stats, autophase, oracle, runtime });
-                        }
-                        Err(_) => {
-                            // Differential-testing discard, as in the q=1
-                            // loop: the candidate is dropped.
-                        }
-                    },
-                    Done::Fit(gp) => {
-                        hypers = Some(gp.hypers());
-                        model = Some((gp, next_scale.clone()));
-                    }
-                }
-            }
-
-            iter += 1;
-            progress!();
-            if trace_iters {
-                eprintln!(
-                    "[citroen] wall {:?} iter {iter} meas {} obs {} keys {} stagnant {} t_compile {:?} t_measure {:?} t_model {:?}",
-                    std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap(),
-                    task.measurements,
-                    obs.len(),
-                    key_union.len(),
-                    stag.stagnant,
-                    task.times.compile,
-                    task.times.measure,
-                    task.times.model
-                );
-            }
-            if stag.update(task.measurements, &mut des, len, npasses, &mut rng) {
-                break;
-            }
-            if iter > budget * 20 {
-                break;
-            }
+/// Append the statistics keys of `stats` not yet in the model's key union,
+/// in first-seen order.
+fn grow_keys(key_union: &mut Vec<String>, stats: &Stats) {
+    for k in stats.keys() {
+        if !key_union.contains(&k) {
+            key_union.push(k);
         }
     }
-
-    while exit == SessionExit::Completed && task.measurements < budget && cfg.batch <= 1 {
-        if let Some(e) = env.ctl.interrupted() {
-            exit = e;
-            break;
-        }
-        let _iter_span = telemetry::span("iteration");
-        telemetry::counter("citroen.iterations", 1);
-        // Generate candidates.
-        let mut cands: Vec<Vec<u16>> = match cfg.generator {
-            GeneratorKind::Des => {
-                let n_des = (cfg.candidates * 3) / 4;
-                let mut v = des.ask(&mut rng, n_des);
-                for _ in 0..cfg.candidates - n_des {
-                    v.push((0..len).map(|_| rng.gen_range(0..npasses) as u16).collect());
-                }
-                v
-            }
-            GeneratorKind::Random => (0..cfg.candidates)
-                .map(|_| (0..len).map(|_| rng.gen_range(0..npasses) as u16).collect())
-                .collect(),
-        };
-        trace.candidates_generated += cands.len();
-
-        // Compile all candidates to collect statistics (cheap oracle).
-        // Coverage keys use the *hot module's* fingerprint: the cold part is
-        // fixed, so it identifies the final binary without linking.
-        let mut compiled: Vec<(Vec<u16>, Stats, Vec<f64>, Vec<f64>, u64)> = Vec::new();
-        for g in cands.drain(..) {
-            if trace_seq {
-                eprintln!("[cand] {}", task.registry.seq_to_string(&genome_to_seq(&g)));
-            }
-            let t_cand = trace_seq.then(Instant::now);
-            let (_eff, stats, mod_fp, module) = compile_genome!(&g);
-            if let Some(t0) = t_cand {
-                eprintln!("[cand-done] {:?} insts {}", t0.elapsed(), module.num_insts());
-            }
-            let ap = if cfg.features == FeatureKind::Autophase {
-                citroen_passes::autophase::autophase_features(&module)
-            } else {
-                Vec::new()
-            };
-            let ob = oracle_bits(&task.registry, &module, cfg.oracle_features);
-            compiled.push((g, stats, ap, ob, mod_fp));
-        }
-
-        // Coverage filtering (§5.3.4): duplicated binaries or statistics
-        // vectors carry no new information — skip their profiling.
-        if cfg.coverage_filter {
-            let before = compiled.len();
-            compiled.retain(|(_, stats, _, _, fp)| {
-                !seen_fps.contains(fp) && !seen_stats.contains(&stats_sig(stats))
-            });
-            // Also dedup within the batch, on each component independently.
-            retain_batch_unique(&mut compiled, |(_, stats, _, _, fp)| (stats_sig(stats), *fp));
-            telemetry::counter("citroen.coverage_dropped", (before - compiled.len()) as u64);
-            trace.coverage_dropped += before - compiled.len();
-        }
-        if compiled.is_empty() {
-            // Whole batch was redundant: take a random probe to escape. The
-            // stagnation bookkeeping below still runs (tiny hot modules can
-            // exhaust their distinct-binary space entirely).
-            let g: Vec<u16> = (0..len).map(|_| rng.gen_range(0..npasses) as u16).collect();
-            observe!(g);
-            iter += 1;
-            progress!();
-            if stag.update(task.measurements, &mut des, len, npasses, &mut rng) {
-                break;
-            }
-            if iter > budget * 20 {
-                break;
-            }
-            continue;
-        }
-
-        // Fit the cost model and score candidates.
-        let t0 = Instant::now();
-        let fit_span = telemetry::span("fit");
-        for (_, stats, _, _, _) in &compiled {
-            for k in stats.keys() {
-                if !key_union.contains(&k) {
-                    key_union.push(k);
-                }
-            }
-        }
-        let (xmat, scale) = feature_matrix(&obs, &key_union, cfg.features);
-        let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
-        let mut gpc = cfg.gp.clone();
-        gpc.init = hypers.clone();
-        if iter % cfg.fit_every != 0 && hypers.is_some() {
-            gpc.fit_iters = 0;
-        }
-        let gp = Gp::fit(xmat, &y, gpc);
-        hypers = Some(gp.hypers());
-        drop(fit_span);
-        let acquire_span = telemetry::span("acquire");
-        let best_raw = y.iter().cloned().fold(f64::INFINITY, f64::min);
-        let best_z = gp.transform().forward(best_raw);
-        let acq = Acquisition::Ucb { beta: cfg.beta };
-
-        let mut best_af = f64::NEG_INFINITY;
-        let mut pick = 0usize;
-        for (i, (g, stats, ap, ob, _)) in compiled.iter().enumerate() {
-            let x = featurise(g, stats, ap, ob, &key_union, &scale, cfg.features);
-            let af = acq.eval(&gp, best_z, &x);
-            if af > best_af {
-                best_af = af;
-                pick = i;
-            }
-        }
-        drop(acquire_span);
-        task.add_model_time(t0.elapsed());
-
-        let (g, _, _, _, _) = compiled.swap_remove(pick);
-        observe!(g);
-        iter += 1;
-        progress!();
-        if trace_iters {
-            eprintln!(
-                "[citroen] wall {:?} iter {iter} meas {} obs {} keys {} stagnant {} t_compile {:?} t_measure {:?} t_model {:?}",
-                std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap(),
-                task.measurements,
-                obs.len(),
-                key_union.len(),
-                stag.stagnant,
-                task.times.compile,
-                task.times.measure,
-                task.times.model
-            );
-        }
-        if stag.update(task.measurements, &mut des, len, npasses, &mut rng) {
-            break;
-        }
-        if iter > budget * 20 {
-            break; // safety valve
-        }
-    }
-
-    // ARD impact report (Table 5.5): shortest length-scales = most impactful.
-    let report = if obs.len() >= 3 && cfg.features == FeatureKind::CompilationStats {
-        let (xmat, _) = feature_matrix(&obs, &key_union, cfg.features);
-        let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
-        let gp = Gp::fit(xmat, &y, GpConfig { fit_iters: 60, ..cfg.gp.clone() });
-        let ls = gp.lengthscales();
-        let mut ranked: Vec<(String, f64)> =
-            key_union.iter().cloned().zip(ls).collect();
-        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        ImpactReport { ranked }
-    } else {
-        ImpactReport { ranked: Vec::new() }
-    };
-    SessionResult { trace, report, exit }
 }
 
 /// Seconds → nanosecond event field (0 = absent; runtimes are positive).
 fn to_ns(seconds: Option<f64>) -> u64 {
     seconds.map(|s| (s * 1e9) as u64).unwrap_or(0)
-}
-
-/// Oracle verdict bits of `module` (1.0 = `MayFire`), or empty when the
-/// oracle-features flag is off — the empty vector keeps the paper-faithful
-/// feature space untouched.
-fn oracle_bits(reg: &Registry, module: &Module, enabled: bool) -> Vec<f64> {
-    if !enabled {
-        return Vec::new();
-    }
-    citroen_passes::oracle::verdict_bits(&citroen_passes::oracle::verdicts(reg, module))
-}
-
-/// Stagnation bookkeeping shared by the empty-batch arm and the loop tail
-/// (previously duplicated verbatim in both, letting the arms drift): on
-/// benchmarks whose hot module collapses to few distinct binaries, most
-/// candidates are duplicates and cached measurements consume no budget.
-/// Restart the DES incumbent to escape, and stop when the search is
-/// exhausted.
-struct StagnationState {
-    last_meas: usize,
-    stagnant: usize,
-}
-
-impl StagnationState {
-    fn new(measurements: usize) -> StagnationState {
-        StagnationState { last_meas: measurements, stagnant: 0 }
-    }
-
-    /// Advance after one iteration; `true` means the search looks exhausted
-    /// and the loop should stop.
-    fn update(
-        &mut self,
-        measurements: usize,
-        des: &mut DiscreteOneLambda,
-        len: usize,
-        npasses: usize,
-        rng: &mut StdRng,
-    ) -> bool {
-        if measurements == self.last_meas {
-            self.stagnant += 1;
-            if self.stagnant % 20 == 19 {
-                *des = DiscreteOneLambda::new(len, npasses, rng);
-            }
-            self.stagnant > 80
-        } else {
-            self.stagnant = 0;
-            self.last_meas = measurements;
-            false
-        }
-    }
 }
 
 /// Within-batch coverage dedup (§5.3.4): a candidate is redundant if
@@ -1015,15 +891,8 @@ fn stats_sig(stats: &Stats) -> String {
 
 /// Build the training matrix for the chosen feature kind. Features are
 /// `log1p`-compressed and max-scaled for numeric stability.
-fn feature_matrix(
-    obs: &[Observation],
-    keys: &[String],
-    kind: FeatureKind,
-) -> (Mat, Vec<f64>) {
-    let raw: Vec<Vec<f64>> = obs
-        .iter()
-        .map(|o| raw_features(&o.genome, &o.stats, &o.autophase, &o.oracle, keys, kind))
-        .collect();
+fn feature_matrix(obs: &[Observation], keys: &[String], kind: FeatureKind) -> (Mat, Vec<f64>) {
+    let raw: Vec<Vec<f64>> = obs.iter().map(|o| raw_features(&o.point, keys, kind)).collect();
     let d = raw.first().map(|r| r.len()).unwrap_or(0);
     let mut scale = vec![1.0f64; d];
     for r in &raw {
@@ -1038,41 +907,20 @@ fn feature_matrix(
     (Mat::from_rows(rows), scale)
 }
 
-fn raw_features(
-    genome: &[u16],
-    stats: &Stats,
-    autophase: &[f64],
-    oracle: &[f64],
-    keys: &[String],
-    kind: FeatureKind,
-) -> Vec<f64> {
-    let mut r: Vec<f64> = match kind {
+fn raw_features(p: &Point, keys: &[String], kind: FeatureKind) -> Vec<f64> {
+    match kind {
         FeatureKind::CompilationStats => {
-            stats.to_vector(keys).into_iter().map(|v| (1.0 + v).ln()).collect()
+            p.stats.to_vector(keys).into_iter().map(|v| (1.0 + v).ln()).collect()
         }
-        FeatureKind::Autophase => autophase.iter().map(|v| (1.0 + v).ln()).collect(),
-        FeatureKind::RawSequence => genome.iter().map(|&g| g as f64).collect(),
-    };
-    // Oracle verdict bits ride along as extra 0/1 dimensions (empty unless
-    // `CitroenConfig::oracle_features` is on).
-    r.extend_from_slice(oracle);
-    r
+        FeatureKind::Autophase => p.autophase.iter().map(|v| (1.0 + v).ln()).collect(),
+        FeatureKind::RawSequence => p.genome.iter().map(|&g| g as f64).collect(),
+    }
 }
 
-fn featurise(
-    genome: &[u16],
-    stats: &Stats,
-    autophase: &[f64],
-    oracle: &[f64],
-    keys: &[String],
-    scale: &[f64],
-    kind: FeatureKind,
-) -> Vec<f64> {
-    let mut r = raw_features(genome, stats, autophase, oracle, keys, kind);
-    for (i, v) in r.iter_mut().enumerate() {
-        if i < scale.len() {
-            *v /= scale[i];
-        }
+fn featurise(p: &Point, keys: &[String], scale: &[f64], kind: FeatureKind) -> Vec<f64> {
+    let mut r = raw_features(p, keys, kind);
+    for (v, s) in r.iter_mut().zip(scale) {
+        *v /= s;
     }
     // Pad/truncate to the model dimensionality (keys can grow between fits;
     // the scale vector length is the fitted dimensionality).
@@ -1275,19 +1123,15 @@ mod tests {
         let ap = citroen_passes::autophase::autophase_features(&module);
         let keys = stats.keys();
         let genome: Vec<u16> = o3.iter().map(|p| p.0).collect();
-        let s = raw_features(&genome, &stats, &ap, &[], &keys, FeatureKind::CompilationStats);
-        let a = raw_features(&genome, &stats, &ap, &[], &keys, FeatureKind::Autophase);
-        let r = raw_features(&genome, &stats, &ap, &[], &keys, FeatureKind::RawSequence);
+        let n_genes = genome.len();
+        let p = Point { genome, stats, autophase: ap };
+        let s = raw_features(&p, &keys, FeatureKind::CompilationStats);
+        let a = raw_features(&p, &keys, FeatureKind::Autophase);
+        let r = raw_features(&p, &keys, FeatureKind::RawSequence);
         assert_eq!(s.len(), keys.len());
         assert_eq!(a.len(), citroen_passes::autophase::NUM_AUTOPHASE_FEATURES);
-        assert_eq!(r.len(), genome.len());
+        assert_eq!(r.len(), n_genes);
         assert!(s.iter().any(|v| *v > 0.0));
-        // Oracle bits extend any feature kind by exactly their own length.
-        let bits = oracle_bits(&task.registry, &module, true);
-        assert_eq!(bits.len(), task.registry.len());
-        let so = raw_features(&genome, &stats, &ap, &bits, &keys, FeatureKind::CompilationStats);
-        assert_eq!(so.len(), s.len() + bits.len());
-        assert!(oracle_bits(&task.registry, &module, false).is_empty());
     }
 
     #[test]

@@ -42,6 +42,14 @@
 #      to standalone runs at the same seeds, the replay must hit the shared
 #      cross-tenant compile cache, a third job is cancelled mid-run, and
 #      the daemon must drain gracefully (exit 0 only if all hold)
+#  11. the observability gate: the metrics-plane overhead bound
+#      (`micro --metrics-gate`) and the daemon SLO smoke run
+#      (`citroen-serve smoke`)
+#  12. the workspace test suite in release mode: every crate's unit and
+#      integration tests, including the 10-seed compile-saving gates in
+#      `crates/core/src/citroen.rs`, the batched-loop and telemetry-identity
+#      tests in `crates/core/tests`, and the serve determinism tests (stage
+#      2 runs only the root package)
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
@@ -99,5 +107,8 @@ timeout 300 ./target/release/citroen-serve bench
 echo "== observability: metrics overhead gate + daemon smoke + SLO gate"
 timeout 300 ./target/release/micro --metrics-gate
 timeout 300 ./target/release/citroen-serve smoke
+
+echo "== workspace tests (release)"
+cargo test -q --workspace --release
 
 echo "== tier-1 gate passed"
