@@ -25,16 +25,10 @@
 //!   `degraded` (recoverable) and emits one `slo.breach.<name>` telemetry
 //!   event per ok→breach edge.
 //!
-//! Reentrancy discipline: [`ServeMetrics::feed_span`] and
-//! [`ServeMetrics::feed_counter`] run *inside* sink dispatch — the caller
-//! ([`crate::RoutingSink`] via `citroen_telemetry`) holds the process-global
-//! `SINK` mutex, so nothing on those paths may call back into
-//! `citroen_telemetry` (`event()` re-locks the same non-reentrant mutex on
-//! the same thread: instant self-deadlock). Breaches detected there are
-//! queued in the hub and emitted by the next lifecycle hook
-//! (`job_queued` / `session_started` / `session_finished`), which the server
-//! calls from plain (non-sink) contexts. The `health` verdict itself flips
-//! immediately either way — only the event record is deferred.
+//! Breach events go through `citroen_telemetry`, whose installed sink may
+//! be the [`crate::RoutingSink`] that feeds this hub, so every method emits
+//! them only after releasing the hub mutex — [`ServeMetrics::feed_span`]
+//! too, although it runs inside sink dispatch.
 //!
 //! Determinism: nothing in here feeds back into any session — recording is
 //! strictly observational, which is what the 10-seed metrics-on identity
@@ -128,9 +122,6 @@ struct Hub {
     spans_dropped: u64,
     recent: VecDeque<JobSummary>,
     cache_last: SharedCacheStats,
-    /// Breaches detected inside sink dispatch (`feed_span`), awaiting
-    /// emission from a non-sink context — see the module docs.
-    pending_breaches: Vec<(String, f64, f64)>,
 }
 
 /// The daemon-wide observability hub. Cheap to clone the `Arc`; all methods
@@ -169,7 +160,6 @@ impl ServeMetrics {
                 spans_dropped: 0,
                 recent: VecDeque::new(),
                 cache_last: SharedCacheStats::default(),
-                pending_breaches: Vec::new(),
             }),
         })
     }
@@ -177,11 +167,6 @@ impl ServeMetrics {
     /// Milliseconds since the hub was created (the registries' time base).
     pub fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// Daemon uptime in milliseconds (alias of [`ServeMetrics::now_ms`]).
-    pub fn uptime_ms(&self) -> u64 {
-        self.now_ms()
     }
 
     fn tenant_reg<'h>(hub: &'h mut Hub, tenant: &str, window: WindowCfg, slo: &SloConfig) -> &'h mut TenantScope {
@@ -194,15 +179,11 @@ impl ServeMetrics {
     /// A job was accepted into the queue.
     pub fn job_queued(&self, tenant: &str) {
         let now = self.now_ms();
-        let breached = {
-            let mut hub = self.hub.lock().unwrap();
-            hub.global.add("jobs.submitted", 1, now);
-            Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
-                .reg
-                .add("jobs.submitted", 1, now);
-            std::mem::take(&mut hub.pending_breaches)
-        };
-        Self::emit_breaches(&breached);
+        let mut hub = self.hub.lock().unwrap();
+        hub.global.add("jobs.submitted", 1, now);
+        Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
+            .reg
+            .add("jobs.submitted", 1, now);
     }
 
     /// A queued job was cancelled before any session thread claimed it.
@@ -211,15 +192,11 @@ impl ServeMetrics {
     /// (`jobs.done + jobs.failed + jobs.cancelled`).
     pub fn job_cancelled_queued(&self, tenant: &str) {
         let now = self.now_ms();
-        let breached = {
-            let mut hub = self.hub.lock().unwrap();
-            hub.global.add("jobs.cancelled", 1, now);
-            Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
-                .reg
-                .add("jobs.cancelled", 1, now);
-            std::mem::take(&mut hub.pending_breaches)
-        };
-        Self::emit_breaches(&breached);
+        let mut hub = self.hub.lock().unwrap();
+        hub.global.add("jobs.cancelled", 1, now);
+        Self::tenant_reg(&mut hub, tenant, self.window, &self.slo)
+            .reg
+            .add("jobs.cancelled", 1, now);
     }
 
     /// A session thread claimed a job: records the queue wait and routes the
@@ -227,10 +204,8 @@ impl ServeMetrics {
     /// [`ServeMetrics::session_finished`].
     pub fn session_started(&self, tenant: &str, queue_wait_ms: u64) {
         let now = self.now_ms();
-        let mut breached: Vec<(String, f64, f64)>;
-        {
+        let breached = {
             let mut hub = self.hub.lock().unwrap();
-            breached = std::mem::take(&mut hub.pending_breaches);
             hub.global.observe("queue_wait_ms", queue_wait_ms, now);
             let scope = Self::tenant_reg(&mut hub, tenant, self.window, &self.slo);
             scope.reg.observe("queue_wait_ms", queue_wait_ms, now);
@@ -238,26 +213,18 @@ impl ServeMetrics {
                 current_thread_id(),
                 ThreadScope { tenant: tenant.to_string(), spans: Vec::new(), dropped: 0 },
             );
-            let q = &mut hub.sentinels[0];
-            if q.observe(queue_wait_ms as f64) {
-                breached.push((q.name.clone(), q.ewma.value().unwrap_or(0.0), q.threshold));
-            }
-        }
-        // Emitted outside the hub lock: the event goes through the global
-        // sink, whose span path locks the hub (lock-order discipline). This
-        // is a plain (non-sink) context, so the telemetry SINK mutex is free
-        // and queued sink-path breaches can drain here too.
-        Self::emit_breaches(&breached);
+            breach(&mut hub.sentinels[0], queue_wait_ms as f64)
+        };
+        Self::emit_breaches(breached.as_slice());
     }
 
     /// The session finished (any exit, including panic): fold its profile,
     /// account its lifecycle numbers, observe the SLOs, push the summary.
     pub fn session_finished(&self, job: JobSummary, cache: SharedCacheStats, corpus_len: u64) {
         let now = self.now_ms();
-        let mut breached: Vec<(String, f64, f64)>;
+        let mut breached = Vec::new();
         {
             let mut hub = self.hub.lock().unwrap();
-            breached = std::mem::take(&mut hub.pending_breaches);
 
             // Lifecycle counters and run-wall histograms, global + tenant.
             let outcome_key = match job.exit.as_str() {
@@ -277,13 +244,11 @@ impl ServeMetrics {
                 scope.reg.add("measurements", job.measurements, now);
                 scope.reg.add("warm_seeds", job.warm_seeds, now);
                 scope.reg.observe("run_wall_ms", job.run_ms, now);
-                if scope.run_sentinel.observe(job.run_ms as f64) {
-                    let s = &scope.run_sentinel;
-                    breached.push((
-                        format!("tenant.{}.{}", event_safe(&job.tenant), s.name),
-                        s.ewma.value().unwrap_or(0.0),
-                        s.threshold,
-                    ));
+                if let Some((name, ewma, threshold)) =
+                    breach(&mut scope.run_sentinel, job.run_ms as f64)
+                {
+                    let name = format!("tenant.{}.{name}", event_safe(&job.tenant));
+                    breached.push((name, ewma, threshold));
                 }
             }
 
@@ -330,16 +295,10 @@ impl ServeMetrics {
 
             // Sentinels: run wall always; hit ratio only when the job
             // generated cache traffic.
-            let r = &mut hub.sentinels[1];
-            if r.observe(job.run_ms as f64) {
-                breached.push((r.name.clone(), r.ewma.value().unwrap_or(0.0), r.threshold));
-            }
+            breached.extend(breach(&mut hub.sentinels[1], job.run_ms as f64));
             if d_hits + d_miss > 0 {
                 let ratio = d_hits as f64 / (d_hits + d_miss) as f64;
-                let h = &mut hub.sentinels[3];
-                if h.observe(ratio) {
-                    breached.push((h.name.clone(), h.ewma.value().unwrap_or(0.0), h.threshold));
-                }
+                breached.extend(breach(&mut hub.sentinels[3], ratio));
             }
         }
         Self::emit_breaches(&breached);
@@ -347,37 +306,34 @@ impl ServeMetrics {
 
     /// Feed one completed span (called by the routing sink, synchronously on
     /// the recording thread — but keyed by `rec.thread`, so pool-worker
-    /// spans forwarded later would still attribute correctly).
-    ///
-    /// Runs while the caller holds the process-global telemetry `SINK`
-    /// mutex, so it must NOT call back into `citroen_telemetry` (see the
-    /// module docs): a compile-latency breach is queued in the hub and
-    /// emitted by the next lifecycle hook instead.
+    /// spans forwarded later would still attribute correctly). A compile
+    /// latency breach is emitted once the hub lock is released.
     pub fn feed_span(&self, rec: &SpanRecord) {
         let now = self.now_ms();
-        let mut hub = self.hub.lock().unwrap();
-        let Some(scope) = hub.threads.get_mut(&rec.thread) else { return };
-        if scope.spans.len() < self.profile_cap {
-            scope.spans.push(rec.clone());
-        } else {
-            scope.dropped += 1;
-        }
-        let tenant = scope.tenant.clone();
-        if TRACKED_SPANS.contains(&rec.name.as_str()) {
+        let breached = {
+            let mut hub = self.hub.lock().unwrap();
+            let Some(scope) = hub.threads.get_mut(&rec.thread) else { return };
+            if scope.spans.len() < self.profile_cap {
+                scope.spans.push(rec.clone());
+            } else {
+                scope.dropped += 1;
+            }
+            let tenant = scope.tenant.clone();
+            if !TRACKED_SPANS.contains(&rec.name.as_str()) {
+                return;
+            }
             let us = rec.dur_ns / 1_000;
             let key = format!("span.{}_us", rec.name);
             hub.global.observe(&key, us, now);
             Self::tenant_reg(&mut hub, &tenant, self.window, &self.slo)
                 .reg
                 .observe(&key, us, now);
-            if rec.name == "compile" {
-                let c = &mut hub.sentinels[2];
-                if c.observe(us as f64) {
-                    let rec = (c.name.clone(), c.ewma.value().unwrap_or(0.0), c.threshold);
-                    hub.pending_breaches.push(rec);
-                }
+            if rec.name != "compile" {
+                return;
             }
-        }
+            breach(&mut hub.sentinels[2], us as f64)
+        };
+        Self::emit_breaches(breached.as_slice());
     }
 
     /// Feed one counter increment from the calling thread (registered
@@ -390,9 +346,8 @@ impl ServeMetrics {
         Self::tenant_reg(&mut hub, &tenant, self.window, &self.slo).reg.add(name, delta, now);
     }
 
-    /// Emit one `slo.breach.<name>` event per record. Only callable from
-    /// plain (non-sink) contexts: `event()` locks the global telemetry
-    /// `SINK` mutex, which sink-dispatch paths already hold.
+    /// Emit one `slo.breach.<name>` event per record. Call it without the
+    /// hub lock held: the installed sink may lock the hub itself.
     fn emit_breaches(breached: &[(String, f64, f64)]) {
         for (name, ewma, threshold) in breached {
             citroen_telemetry::event(
@@ -543,6 +498,12 @@ impl ServeMetrics {
         ])
         .emit_compact()
     }
+}
+
+/// Feed `v` to sentinel `s`. On an ok→breach edge, return the breach
+/// (name, EWMA, threshold) for [`ServeMetrics::emit_breaches`].
+fn breach(s: &mut Sentinel, v: f64) -> Option<(String, f64, f64)> {
+    s.observe(v).then(|| (s.name.clone(), s.ewma.value().unwrap_or(0.0), s.threshold))
 }
 
 fn vs(v: &str) -> Value {
@@ -812,35 +773,6 @@ mod tests {
         let hub = m.hub.lock().unwrap();
         assert_eq!(hub.spans_sampled, 3);
         assert!(hub.flames.contains_key("compile"), "flames: {:?}", hub.flames);
-    }
-
-    #[test]
-    fn compile_breach_in_sink_path_is_queued_then_drained_by_lifecycle() {
-        // feed_span runs under the global telemetry SINK mutex, so a breach
-        // there must be queued, not emitted (emitting re-locks SINK on the
-        // same thread: self-deadlock). The next lifecycle hook drains it.
-        let m = ServeMetrics::new(
-            WindowCfg::default(),
-            SloConfig { compile_us: 0.001, alpha: 1.0, ..Default::default() },
-        );
-        m.session_started("a", 0);
-        m.feed_span(&SpanRecord {
-            id: 1,
-            parent: 0,
-            name: "compile".to_string(),
-            thread: current_thread_id(),
-            start_ns: 0,
-            dur_ns: 5_000_000,
-        });
-        assert!(!m.healthy(), "compile sentinel must flip health immediately");
-        {
-            let hub = m.hub.lock().unwrap();
-            assert_eq!(hub.pending_breaches.len(), 1, "breach queued, not emitted in-sink");
-            assert_eq!(hub.pending_breaches[0].0, "compile_us");
-        }
-        m.session_finished(job("j1", "a", "completed", 1), Default::default(), 0);
-        let hub = m.hub.lock().unwrap();
-        assert!(hub.pending_breaches.is_empty(), "lifecycle hook drains the queue");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! (DESIGN.md §12): span durations and counters from registered session
 //! threads flow into the windowed metrics registries and the continuous
 //! profiler *before* being routed to the per-job stream, so the `metrics`
-//! verb works with or without `--trace-dir`.
+//! verb works with or without `--trace-dir`. Both are synchronised on
+//! their own (the route table's mutex, the hub's mutex), so the sink needs
+//! no lock of its own.
 
 use crate::metrics::ServeMetrics;
 use citroen_telemetry::{current_thread_id, EventRecord, SpanRecord, StreamSink, TelemetrySink};
@@ -54,13 +56,13 @@ impl RouteTable {
     /// Stop routing the calling thread and flush/close its stream.
     pub fn unregister_current(&self) {
         let sink = self.routes.lock().unwrap().remove(&current_thread_id());
-        if let Some(mut sink) = sink {
+        if let Some(sink) = sink {
             let _ = sink.finish();
         }
     }
 
-    fn with_route<F: FnOnce(&mut StreamSink)>(&self, thread: u64, f: F) {
-        if let Some(sink) = self.routes.lock().unwrap().get_mut(&thread) {
+    fn with_route<F: FnOnce(&StreamSink)>(&self, thread: u64, f: F) {
+        if let Some(sink) = self.routes.lock().unwrap().get(&thread) {
             f(sink);
         }
     }
@@ -75,11 +77,6 @@ pub struct RoutingSink {
 }
 
 impl RoutingSink {
-    /// A sink dispatching through `table` (no metrics hub).
-    pub fn new(table: Arc<RouteTable>) -> RoutingSink {
-        RoutingSink { table: Some(table), metrics: None }
-    }
-
     /// A sink with any combination of per-job stream routing and metrics
     /// feeding (at least one should be present to be useful).
     pub fn with_metrics(
@@ -89,7 +86,7 @@ impl RoutingSink {
         RoutingSink { table, metrics }
     }
 
-    fn with_route<F: FnOnce(&mut StreamSink)>(&self, thread: u64, f: F) {
+    fn with_route<F: FnOnce(&StreamSink)>(&self, thread: u64, f: F) {
         if let Some(table) = &self.table {
             table.with_route(thread, f);
         }
@@ -97,7 +94,7 @@ impl RoutingSink {
 }
 
 impl TelemetrySink for RoutingSink {
-    fn record_span(&mut self, rec: SpanRecord) {
+    fn record_span(&self, rec: SpanRecord) {
         if let Some(m) = &self.metrics {
             m.feed_span(&rec);
         }
@@ -105,18 +102,18 @@ impl TelemetrySink for RoutingSink {
         self.with_route(thread, move |s| s.record_span(rec));
     }
 
-    fn add_counter(&mut self, name: &str, delta: u64) {
+    fn add_counter(&self, name: &str, delta: u64) {
         if let Some(m) = &self.metrics {
             m.feed_counter(name, delta);
         }
         self.with_route(current_thread_id(), |s| s.add_counter(name, delta));
     }
 
-    fn record_value(&mut self, name: &str, value: u64) {
+    fn record_value(&self, name: &str, value: u64) {
         self.with_route(current_thread_id(), |s| s.record_value(name, value));
     }
 
-    fn record_event(&mut self, rec: EventRecord) {
+    fn record_event(&self, rec: EventRecord) {
         let thread = rec.thread;
         self.with_route(thread, move |s| s.record_event(rec));
     }

@@ -31,7 +31,7 @@ fn interleaved_sessions_route_to_their_own_streams_without_loss() {
     )));
 
     // All threads start recording at the same instant and yield frequently,
-    // maximising interleaving through the shared sink mutex.
+    // maximising interleaving through the shared sink.
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|i| {

@@ -27,10 +27,10 @@
 //! state has **no sink installed**: every entry point is a single relaxed
 //! atomic load and an early return, so the paper-faithful tuning path is not
 //! perturbed (see `crates/core/tests/telemetry_identity.rs` and the
-//! `micro --telemetry-gate` overhead bound). With the built-in [`MemorySink`]
-//! installed ([`enable`]), completed records are pushed under a short-lived
-//! global mutex — spans in this codebase are coarse (per pass, per GP fit,
-//! per iteration), so lock traffic is negligible next to the timed work.
+//! `micro --telemetry-gate` overhead bound). With a sink installed, each
+//! record clones the sink's `Arc` under a read lock, releases the lock, and
+//! only then calls the sink, which does its own locking (see
+//! [`TelemetrySink`] for the contract).
 //!
 //! Traces export as JSON through `rt::json::Value` ([`Trace::emit_pretty`] /
 //! [`Trace::parse`]); the `citroen-trace` binary renders breakdowns and
@@ -53,7 +53,7 @@ pub use trace::{EventRecord, NameAgg, SpanRecord, Trace};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -63,21 +63,26 @@ use std::time::Instant;
 /// Receiver of telemetry records. Exactly one sink is installed at a time
 /// (process-global); with none installed every recording entry point is a
 /// near-free early return.
-pub trait TelemetrySink: Send {
+///
+/// Sinks are called concurrently, from any thread that records, and no
+/// telemetry lock is held while a sink method runs. So a sink owns its
+/// synchronisation, and it may call back into telemetry (emit an event,
+/// bump a counter) as long as it does not hold its own lock while doing so.
+pub trait TelemetrySink: Send + Sync {
     /// A span finished.
-    fn record_span(&mut self, rec: SpanRecord);
+    fn record_span(&self, rec: SpanRecord);
     /// Add `delta` to counter `name`.
-    fn add_counter(&mut self, name: &str, delta: u64);
+    fn add_counter(&self, name: &str, delta: u64);
     /// Record one observation of `value` into histogram `name`.
-    fn record_value(&mut self, name: &str, value: u64);
+    fn record_value(&self, name: &str, value: u64);
     /// A structured event was emitted. Default: ignore (sinks predating
     /// events keep working).
-    fn record_event(&mut self, rec: EventRecord) {
+    fn record_event(&self, rec: EventRecord) {
         let _ = rec;
     }
     /// Give up the accumulated trace, if this sink holds one in memory.
     /// Default: `None` (streaming/custom sinks).
-    fn take_trace(&mut self) -> Option<Trace> {
+    fn take_trace(&self) -> Option<Trace> {
         None
     }
 }
@@ -85,7 +90,7 @@ pub trait TelemetrySink: Send {
 /// The built-in sink: accumulates everything into a [`Trace`] in memory.
 #[derive(Default)]
 pub struct MemorySink {
-    trace: Trace,
+    trace: Mutex<Trace>,
 }
 
 impl MemorySink {
@@ -93,23 +98,27 @@ impl MemorySink {
     pub fn new() -> MemorySink {
         MemorySink::default()
     }
+
+    fn trace(&self) -> MutexGuard<'_, Trace> {
+        self.trace.lock().expect("no MemorySink method panics")
+    }
 }
 
 impl TelemetrySink for MemorySink {
-    fn record_span(&mut self, rec: SpanRecord) {
-        self.trace.spans.push(rec);
+    fn record_span(&self, rec: SpanRecord) {
+        self.trace().spans.push(rec);
     }
-    fn add_counter(&mut self, name: &str, delta: u64) {
-        *self.trace.counters.entry(name.to_string()).or_insert(0) += delta;
+    fn add_counter(&self, name: &str, delta: u64) {
+        *self.trace().counters.entry(name.to_string()).or_insert(0) += delta;
     }
-    fn record_value(&mut self, name: &str, value: u64) {
-        self.trace.hists.entry(name.to_string()).or_default().record(value);
+    fn record_value(&self, name: &str, value: u64) {
+        self.trace().hists.entry(name.to_string()).or_default().record(value);
     }
-    fn record_event(&mut self, rec: EventRecord) {
-        self.trace.events.push(rec);
+    fn record_event(&self, rec: EventRecord) {
+        self.trace().events.push(rec);
     }
-    fn take_trace(&mut self) -> Option<Trace> {
-        Some(std::mem::take(&mut self.trace))
+    fn take_trace(&self) -> Option<Trace> {
+        Some(std::mem::take(&mut *self.trace()))
     }
 }
 
@@ -118,7 +127,7 @@ impl TelemetrySink for MemorySink {
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<Box<dyn TelemetrySink>>> = Mutex::new(None);
+static SINK: RwLock<Option<Arc<dyn TelemetrySink>>> = RwLock::new(None);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -154,13 +163,23 @@ pub fn current_thread_id() -> u64 {
     THREAD.with(|t| *t)
 }
 
+/// `SINK` is locked only to clone or swap the `Arc`, never while a sink
+/// runs, so a panicking sink cannot poison it.
+const SINK_POISONED: &str = "SINK is never locked across a panic";
+
+/// The installed sink, if any.
+fn sink() -> Option<Arc<dyn TelemetrySink>> {
+    SINK.read().expect(SINK_POISONED).clone()
+}
+
 /// Install `sink` as the process-global receiver (replacing any previous
 /// one) and enable recording. Also installs the `rt::par` worker hooks on
 /// first use so parallel work is attributed to its parent span.
 pub fn install(sink: Box<dyn TelemetrySink>) {
     install_par_hooks();
     epoch();
-    *SINK.lock().unwrap() = Some(sink);
+    // The replaced sink drops after the write guard, outside the lock.
+    let _old = SINK.write().expect(SINK_POISONED).replace(Arc::from(sink));
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -188,16 +207,18 @@ pub fn enable_stream_capped(
 }
 
 /// Stop recording and remove the sink (returned so callers can drain it).
-pub fn disable() -> Option<Box<dyn TelemetrySink>> {
+/// A record already in flight on another thread holds its own clone, so
+/// such a record may still reach the sink after this returns.
+pub fn disable() -> Option<Arc<dyn TelemetrySink>> {
     ENABLED.store(false, Ordering::SeqCst);
-    SINK.lock().unwrap().take()
+    SINK.write().expect(SINK_POISONED).take()
 }
 
 /// Drain the accumulated trace out of the installed sink (the sink stays
 /// installed and keeps recording into a fresh trace). `None` when disabled
 /// or when the sink does not hold an in-memory trace.
 pub fn take_trace() -> Option<Trace> {
-    SINK.lock().unwrap().as_mut().and_then(|s| s.take_trace())
+    sink()?.take_trace()
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +306,7 @@ fn close_span(a: ActiveSpan) {
         start_ns: a.start.saturating_duration_since(epoch()).as_nanos() as u64,
         dur_ns,
     };
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
+    if let Some(sink) = sink() {
         sink.record_span(rec);
     }
 }
@@ -309,7 +330,7 @@ pub fn event(name: &str, fields: &[(&str, u64)]) {
         at_ns: Instant::now().saturating_duration_since(epoch()).as_nanos() as u64,
         fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
     };
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
+    if let Some(sink) = sink() {
         sink.record_event(rec);
     }
 }
@@ -324,7 +345,7 @@ pub fn counter(name: &str, delta: u64) {
     if !is_enabled() || delta == 0 {
         return;
     }
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
+    if let Some(sink) = sink() {
         sink.add_counter(name, delta);
     }
 }
@@ -335,7 +356,7 @@ pub fn value(name: &str, v: u64) {
     if !is_enabled() {
         return;
     }
-    if let Some(sink) = SINK.lock().unwrap().as_mut() {
+    if let Some(sink) = sink() {
         sink.record_value(name, v);
     }
 }

@@ -3,9 +3,9 @@
 //! trace in memory, and a crashed run still leaves a readable (partial)
 //! trace behind.
 //!
-//! Architecture: the recording side (called under the global telemetry
-//! mutex, on whatever thread a span closes) does **no I/O and no
-//! serialisation** — it pushes the record into a small batch buffer and,
+//! Architecture: the recording side (called concurrently, on whatever
+//! thread a span closes) does **no I/O and no serialisation** — under the
+//! sink's own mutex it pushes the record into a small batch buffer and,
 //! every [`BATCH`] records (or after [`MAX_BATCH_DELAY`] of quiet), sends
 //! the batch over a bounded [`std::sync::mpsc::sync_channel`]. Batching is
 //! what keeps the recording side cheap: an un-batched send to an idle
@@ -22,7 +22,7 @@
 //! of unbounded queue growth.
 //!
 //! Dropping the sink closes the channel, joins the writer, and flushes —
-//! [`crate::disable`] returns the boxed sink, so `drop(disable())` is the
+//! [`crate::disable`] returns the sink, so `drop(disable())` is the
 //! "finish the trace file" idiom. Write errors are deferred to drop (the
 //! recording path has no way to surface them) and reported on stderr.
 
@@ -33,6 +33,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -199,6 +200,12 @@ impl RotatingFile {
 /// [`crate::enable_stream`] shorthand); finish the file by dropping the sink
 /// (`drop(citroen_telemetry::disable())`).
 pub struct StreamSink {
+    state: Mutex<SendState>,
+}
+
+/// The recording side's state, behind the sink's one mutex. Every update
+/// leaves it valid, so a poisoned lock is recovered (drop calls `finish`).
+struct SendState {
     tx: Option<SyncSender<Vec<Record>>>,
     writer: Option<JoinHandle<io::Result<u64>>>,
     /// Pending records not yet sent (fewer than a batch, recent).
@@ -207,6 +214,23 @@ pub struct StreamSink {
     last_send: Instant,
     /// Records dropped because the writer died mid-run (write error).
     lost: u64,
+}
+
+impl SendState {
+    fn send_batch(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(BATCH));
+        // A send can only fail if the writer thread died on a write error;
+        // count the loss and let drop report the underlying cause.
+        if let Some(tx) = &self.tx {
+            if tx.send(batch).is_err() {
+                self.lost += 1;
+            }
+        }
+        self.last_send = Instant::now();
+    }
 }
 
 impl StreamSink {
@@ -229,52 +253,43 @@ impl StreamSink {
             .name("citroen-stream-sink".into())
             .spawn(move || writer_loop(rx, out))?;
         Ok(StreamSink {
-            tx: Some(tx),
-            writer: Some(writer),
-            buf: Vec::with_capacity(BATCH),
-            last_send: Instant::now(),
-            lost: 0,
+            state: Mutex::new(SendState {
+                tx: Some(tx),
+                writer: Some(writer),
+                buf: Vec::with_capacity(BATCH),
+                last_send: Instant::now(),
+                lost: 0,
+            }),
         })
     }
 
-    fn send(&mut self, rec: Record) {
-        self.buf.push(rec);
-        if self.buf.len() >= BATCH || self.last_send.elapsed() >= MAX_BATCH_DELAY {
-            self.send_batch();
+    fn send(&self, rec: Record) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.buf.push(rec);
+        if st.buf.len() >= BATCH || st.last_send.elapsed() >= MAX_BATCH_DELAY {
+            st.send_batch();
         }
-    }
-
-    fn send_batch(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(BATCH));
-        // A send can only fail if the writer thread died on a write error;
-        // count the loss and let drop report the underlying cause.
-        if let Some(tx) = &self.tx {
-            if tx.send(batch).is_err() {
-                self.lost += 1;
-            }
-        }
-        self.last_send = Instant::now();
     }
 
     /// Close the channel, join the writer, and return the number of record
     /// lines it wrote (not counting the `meta` header). Called by drop; only
     /// needed directly by tests and tools that want the count or the error.
-    pub fn finish(&mut self) -> io::Result<u64> {
-        self.send_batch();
-        drop(self.tx.take());
-        let lines = match self.writer.take() {
+    pub fn finish(&self) -> io::Result<u64> {
+        let (writer, lost) = {
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.send_batch();
+            drop(st.tx.take());
+            (st.writer.take(), st.lost)
+        };
+        let lines = match writer {
             Some(h) => h
                 .join()
                 .map_err(|_| io::Error::other("stream-sink writer thread panicked"))??,
             None => 0,
         };
-        if self.lost > 0 {
+        if lost > 0 {
             return Err(io::Error::other(format!(
-                "stream sink lost {} records after a write error",
-                self.lost
+                "stream sink lost {lost} records after a write error"
             )));
         }
         Ok(lines)
@@ -283,28 +298,27 @@ impl StreamSink {
 
 impl Drop for StreamSink {
     fn drop(&mut self) {
-        if self.writer.is_some() || self.lost > 0 || !self.buf.is_empty() {
-            if let Err(e) = self.finish() {
-                eprintln!("citroen-telemetry: stream sink: {e}");
-            }
+        // A no-op after an explicit `finish`, unless records were lost.
+        if let Err(e) = self.finish() {
+            eprintln!("citroen-telemetry: stream sink: {e}");
         }
     }
 }
 
 impl TelemetrySink for StreamSink {
-    fn record_span(&mut self, rec: SpanRecord) {
+    fn record_span(&self, rec: SpanRecord) {
         self.send(Record::Span(rec));
     }
-    fn add_counter(&mut self, name: &str, delta: u64) {
+    fn add_counter(&self, name: &str, delta: u64) {
         self.send(Record::Counter(name.to_string(), delta));
     }
-    fn record_value(&mut self, name: &str, value: u64) {
+    fn record_value(&self, name: &str, value: u64) {
         self.send(Record::Value(name.to_string(), value));
     }
-    fn record_event(&mut self, rec: EventRecord) {
+    fn record_event(&self, rec: EventRecord) {
         self.send(Record::Event(rec));
     }
-    fn take_trace(&mut self) -> Option<Trace> {
+    fn take_trace(&self) -> Option<Trace> {
         None // the trace lives in the file; replay with `Trace::parse_jsonl`
     }
 }
@@ -370,7 +384,7 @@ mod tests {
     #[test]
     fn streams_records_and_replays_to_equal_trace() {
         let path = tmp("roundtrip.jsonl");
-        let mut sink = StreamSink::create(&path).unwrap();
+        let sink = StreamSink::create(&path).unwrap();
         let span = SpanRecord {
             id: 7,
             parent: 0,
@@ -416,7 +430,7 @@ mod tests {
     #[test]
     fn tiny_cap_rotates_and_every_generation_parses() {
         let path = tmp("rotate.jsonl");
-        let mut sink = StreamSink::create_with_cap(&path, Some(256)).unwrap();
+        let sink = StreamSink::create_with_cap(&path, Some(256)).unwrap();
         for i in 0..200u64 {
             sink.record_value("spin", i);
         }

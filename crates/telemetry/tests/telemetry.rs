@@ -7,8 +7,9 @@
 
 use citroen_rt::par::par_map;
 use citroen_telemetry as telemetry;
-use citroen_telemetry::Trace;
+use citroen_telemetry::{EventRecord, MemorySink, SpanRecord, TelemetrySink, Trace};
 use std::sync::Mutex;
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -201,4 +202,72 @@ fn enable_disable_cycles_produce_independent_traces() {
     telemetry::disable();
     drop(g);
     assert!(telemetry::take_trace().is_none());
+}
+
+/// A sink that stores into a [`MemorySink`] and calls back into telemetry
+/// from `record_span` (after the store, holding no lock of its own), or
+/// panics on spans named `boom`.
+struct Callback(MemorySink);
+
+impl TelemetrySink for Callback {
+    fn record_span(&self, rec: SpanRecord) {
+        assert_ne!(rec.name, "boom", "sink failure");
+        self.0.record_span(rec);
+        telemetry::event("from.sink", &[("n", 1)]);
+        telemetry::counter("from.sink", 1);
+    }
+    fn add_counter(&self, name: &str, delta: u64) {
+        self.0.add_counter(name, delta);
+    }
+    fn record_value(&self, name: &str, value: u64) {
+        self.0.record_value(name, value);
+    }
+    fn record_event(&self, rec: EventRecord) {
+        self.0.record_event(rec);
+    }
+    fn take_trace(&self) -> Option<Trace> {
+        self.0.take_trace()
+    }
+}
+
+#[test]
+fn a_sink_may_call_back_into_telemetry() {
+    let _g = serialised();
+    telemetry::install(Box::new(Callback(MemorySink::new())));
+    // Record on a spawned thread behind a watchdog: a sink dispatched under
+    // a telemetry lock would self-deadlock here, and the timeout turns that
+    // into a failure instead of a hung test binary.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(telemetry::span("outer"));
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("a sink calling back into telemetry must not deadlock");
+    let t = telemetry::take_trace().expect("memory sink holds a trace");
+    telemetry::disable();
+    assert_eq!(t.spans.len(), 1);
+    assert_eq!(t.events.len(), 1);
+    assert_eq!(t.events[0].name, "from.sink");
+    assert_eq!(t.counters["from.sink"], 1);
+}
+
+#[test]
+fn a_panicking_sink_does_not_poison_dispatch() {
+    let _g = serialised();
+    telemetry::install(Box::new(Callback(MemorySink::new())));
+    let boom = std::panic::catch_unwind(|| drop(telemetry::span("boom")));
+    assert!(boom.is_err(), "the sink panics on `boom`");
+    // Records from another thread still reach the sink.
+    std::thread::spawn(|| {
+        drop(telemetry::span("after"));
+        telemetry::counter("after", 2);
+    })
+    .join()
+    .expect("recording after a sink panic must not panic");
+    let sink = telemetry::disable().expect("disable returns the installed sink");
+    let t = sink.take_trace().expect("memory sink holds a trace");
+    let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["after"]);
+    assert_eq!(t.counters["after"], 2);
 }

@@ -50,6 +50,9 @@
 #      `crates/core/src/citroen.rs`, the batched-loop and telemetry-identity
 #      tests in `crates/core/tests`, and the serve determinism tests (stage
 #      2 runs only the root package)
+#  13. the benchmark self-test: `perfbench` is a separate package outside
+#      the workspace, so a telemetry or serve API change that breaks the
+#      benchmark build fails here rather than only when the benchmark runs
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
@@ -110,5 +113,8 @@ timeout 300 ./target/release/citroen-serve smoke
 
 echo "== workspace tests (release)"
 cargo test -q --workspace --release
+
+echo "== benchmark self-test (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1 gate passed"

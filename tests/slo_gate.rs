@@ -100,13 +100,13 @@ fn top_exits_one_on_injected_slo_breach() {
 
 #[test]
 fn compile_slo_breach_does_not_deadlock_the_daemon() {
-    // Regression: the compile sentinel breaches inside sink dispatch (span
-    // close holds the process-global telemetry SINK mutex). Emitting the
-    // breach event from there re-locked the same mutex and hung the daemon
-    // mid-span; the breach must instead be queued and emitted later. With
-    // the ceiling at ~1 ns the very first compile breaches — the job still
-    // completing (instead of `run_one_job` timing out) is the regression
-    // check, and `top` must then gate red on the degraded daemon.
+    // Regression: the compile sentinel breaches inside sink dispatch (a
+    // span close feeds the metrics hub through the routing sink), and the
+    // breach event is emitted from there, back through telemetry. That
+    // once hung the daemon mid-span, when dispatch ran under a telemetry
+    // lock. With the ceiling at ~1 ns the very first compile breaches — the
+    // job still completing (instead of `run_one_job` timing out) is the
+    // regression check, and `top` must then gate red on the degraded daemon.
     let daemon = spawn_daemon("compile-breach", &["--slo-compile-us", "0.000001"]);
     run_one_job(&daemon.socket);
     assert_eq!(top_once(&daemon.socket), 1, "compile breach must gate red");
