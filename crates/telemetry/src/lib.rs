@@ -32,12 +32,13 @@
 //! only then calls the sink, which does its own locking (see
 //! [`TelemetrySink`] for the contract).
 //!
-//! Traces export as JSON through `rt::json::Value` ([`Trace::emit_pretty`] /
-//! [`Trace::parse`]); the `citroen-trace` binary renders breakdowns and
-//! diffs of exported traces. For runs too long to hold in memory, the
-//! [`StreamSink`] ([`enable_stream`]) writes each record as one JSONL line
-//! through a dedicated writer thread; [`Trace::parse_jsonl`] replays the
-//! file into the same in-memory form.
+//! Traces have one on-disk format, JSONL: one record per line. The
+//! [`StreamSink`] ([`enable_stream`]) writes it through a dedicated writer
+//! thread, so runs too long to hold in memory still trace, and
+//! [`Trace::parse_jsonl`] replays a file into the same in-memory form the
+//! [`MemorySink`] builds; both the serializer and the parser live in
+//! [`trace`]. The `citroen-trace` binary records, renders and compares such
+//! files.
 
 #![warn(missing_docs)]
 
@@ -192,17 +193,6 @@ pub fn enable() {
 /// file with `drop(disable())`.
 pub fn enable_stream(path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
     install(Box::new(StreamSink::create(path)?));
-    Ok(())
-}
-
-/// [`enable_stream`] with a byte cap per file: the stream rotates through
-/// `FILE` → `FILE.1` → `FILE.2`, keeping the most recent records and
-/// bounding disk usage at about three caps for arbitrarily long runs.
-pub fn enable_stream_capped(
-    path: impl AsRef<std::path::Path>,
-    cap: u64,
-) -> std::io::Result<()> {
-    install(Box::new(StreamSink::create_with_cap(path, Some(cap))?));
     Ok(())
 }
 

@@ -12,10 +12,9 @@
 //! channel wakes the blocked writer thread every time (a context switch per
 //! record — measured at ~90% overhead on a real tuning run), while one
 //! wakeup per 64 records is noise. A dedicated writer thread drains the
-//! channel, serialises each batch into a reused string buffer (direct
-//! pushes, no per-record allocation tree — the writer competes with the
-//! traced program for cores), and writes through a [`BufWriter`]; it
-//! flushes whenever the channel runs
+//! channel, serialises each batch into a reused string buffer with the
+//! record serializer in [`crate::trace`] (which owns the JSONL vocabulary),
+//! and writes through a [`BufWriter`]; it flushes whenever the channel runs
 //! empty, so `tail`ing the file during a run shows records within one
 //! batch + drain-cycle of real time. The channel bound turns a
 //! pathologically slow disk into backpressure on the traced program instead
@@ -26,9 +25,8 @@
 //! "finish the trace file" idiom. Write errors are deferred to drop (the
 //! recording path has no way to surface them) and reported on stderr.
 
-use crate::trace::meta_record;
+use crate::trace::{meta_line, Record};
 use crate::{EventRecord, SpanRecord, TelemetrySink, Trace};
-use citroen_rt::json::escape_into;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -46,79 +44,6 @@ const MAX_BATCH_DELAY: Duration = Duration::from_millis(50);
 /// Queue bound between the recording side and the writer thread, in
 /// batches (× [`BATCH`] records).
 const CHANNEL_BOUND: usize = 64;
-
-/// One queued telemetry record (the JSONL line vocabulary).
-enum Record {
-    Span(SpanRecord),
-    Event(EventRecord),
-    Counter(String, u64),
-    Value(String, u64),
-}
-
-impl Record {
-    /// Serialise as one JSONL line (newline included), byte-identical to
-    /// the `Value`-tree emitter [`Trace::to_jsonl`] uses — but built by
-    /// direct string pushes. The writer thread shares the host's cores with
-    /// the traced program (on a single-core host it *is* stolen compute
-    /// time), so skipping the per-record `Value` allocation tree measurably
-    /// lowers the streaming overhead the `micro --stream-gate` pins.
-    fn write_jsonl(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            Record::Span(s) => {
-                out.push_str("{\"t\":\"span\",\"id\":");
-                let _ = write!(out, "{}", s.id);
-                out.push_str(",\"parent\":");
-                let _ = write!(out, "{}", s.parent);
-                out.push_str(",\"name\":\"");
-                escape_into(&s.name, out);
-                out.push_str("\",\"thread\":");
-                let _ = write!(out, "{}", s.thread);
-                out.push_str(",\"start_ns\":");
-                let _ = write!(out, "{}", s.start_ns);
-                out.push_str(",\"dur_ns\":");
-                let _ = write!(out, "{}", s.dur_ns);
-                out.push('}');
-            }
-            Record::Event(e) => {
-                out.push_str("{\"t\":\"event\",\"name\":\"");
-                escape_into(&e.name, out);
-                out.push_str("\",\"span\":");
-                let _ = write!(out, "{}", e.span);
-                out.push_str(",\"thread\":");
-                let _ = write!(out, "{}", e.thread);
-                out.push_str(",\"at_ns\":");
-                let _ = write!(out, "{}", e.at_ns);
-                out.push_str(",\"fields\":{");
-                for (i, (k, v)) in e.fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(k, out);
-                    out.push_str("\":");
-                    let _ = write!(out, "{}", v);
-                }
-                out.push_str("}}");
-            }
-            Record::Counter(name, delta) => {
-                out.push_str("{\"t\":\"counter\",\"name\":\"");
-                escape_into(name, out);
-                out.push_str("\",\"delta\":");
-                let _ = write!(out, "{}", delta);
-                out.push('}');
-            }
-            Record::Value(name, value) => {
-                out.push_str("{\"t\":\"value\",\"name\":\"");
-                escape_into(name, out);
-                out.push_str("\",\"value\":");
-                let _ = write!(out, "{}", value);
-                out.push('}');
-            }
-        }
-        out.push('\n');
-    }
-}
 
 /// The writer thread's output target: the live file plus size-cap rotation
 /// bookkeeping. With a byte cap, the file is rotated shift-style before a
@@ -149,8 +74,7 @@ impl RotatingFile {
     fn open(path: &Path) -> io::Result<(BufWriter<File>, u64)> {
         let file = File::create(path)?;
         let mut out = BufWriter::new(file);
-        let mut header = meta_record().emit_compact();
-        header.push('\n');
+        let header = meta_line();
         out.write_all(header.as_bytes())?;
         out.flush()?;
         Ok((out, header.len() as u64))
@@ -385,35 +309,54 @@ mod tests {
     fn streams_records_and_replays_to_equal_trace() {
         let path = tmp("roundtrip.jsonl");
         let sink = StreamSink::create(&path).unwrap();
-        let span = SpanRecord {
-            id: 7,
-            parent: 0,
-            name: "weird\nname \"q\" é".into(),
-            thread: 1,
-            start_ns: 5,
-            dur_ns: 10,
-        };
-        sink.record_span(span.clone());
-        sink.add_counter("c", 2);
-        sink.add_counter("c", 3);
-        sink.record_value("h", 17);
-        sink.record_event(EventRecord {
-            name: "progress".into(),
+        // Names that need escaping (newline, quotes, tab, a control
+        // character, non-ASCII) and u64::MAX payloads must all replay exactly.
+        let spans = vec![
+            SpanRecord {
+                id: 7,
+                parent: 0,
+                name: "weird\nname \"q\" é".into(),
+                thread: 1,
+                start_ns: 5,
+                dur_ns: 10,
+            },
+            SpanRecord {
+                id: 3,
+                parent: 7,
+                name: "nasty\n\"span\"\té \u{1}".into(),
+                thread: 2,
+                start_ns: 0,
+                dur_ns: u64::MAX,
+            },
+        ];
+        let events = vec![EventRecord {
+            name: "progress \"x\"".into(),
             span: 7,
             thread: 1,
             at_ns: 9,
-            fields: vec![("iter".into(), 1)],
-        });
-        assert_eq!(sink.finish().unwrap(), 5);
+            fields: vec![("iter".into(), 1), ("best_ns".into(), u64::MAX)],
+        }];
+        for s in &spans {
+            sink.record_span(s.clone());
+        }
+        sink.add_counter("c", 2);
+        sink.add_counter("c", 3);
+        sink.add_counter("c\tx\u{1}", u64::MAX);
+        sink.record_value("h", 17);
+        sink.record_event(events[0].clone());
+        assert_eq!(sink.finish().unwrap(), 7);
         drop(sink);
 
         let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("{\"t\":\"meta\",\"version\":1}\n"), "{text}");
+        let pinned = "\n{\"t\":\"counter\",\"name\":\"c\\tx\\u0001\",\"delta\":18446744073709551615}\n";
+        assert!(text.contains(pinned), "{text}");
         let t = Trace::parse_jsonl(&text).unwrap();
-        assert_eq!(t.spans, vec![span]);
+        assert_eq!(t.spans, spans);
+        assert_eq!(t.events, events);
         assert_eq!(t.counters["c"], 5);
+        assert_eq!(t.counters["c\tx\u{1}"], u64::MAX);
         assert_eq!(t.hists["h"].count, 1);
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.events[0].field("iter"), Some(1));
         std::fs::remove_file(&path).ok();
     }
 
@@ -462,43 +405,5 @@ mod tests {
     #[test]
     fn create_fails_on_unwritable_path() {
         assert!(StreamSink::create("/nonexistent-dir-xyz/trace.jsonl").is_err());
-    }
-
-    /// The writer's direct serialisation must stay byte-identical to the
-    /// `Value`-tree emitters [`Trace::to_jsonl`] uses — `parse_jsonl` sees
-    /// both, and `check.sh` diffs streamed against replayed traces.
-    #[test]
-    fn direct_serialisation_matches_value_emitter() {
-        use crate::trace::{event_to_json, span_to_json, tagged};
-        let span = SpanRecord {
-            id: 3,
-            parent: 1,
-            name: "nasty\n\"span\"\té \u{1}".into(),
-            thread: 2,
-            start_ns: 0,
-            dur_ns: u64::MAX,
-        };
-        let event = EventRecord {
-            name: "progress \"x\"".into(),
-            span: 3,
-            thread: 2,
-            at_ns: 42,
-            fields: vec![("iter".into(), 0), ("best_ns".into(), u64::MAX)],
-        };
-        let cases = [
-            (Record::Span(span.clone()), tagged("span", span_to_json(&span))),
-            (Record::Event(event.clone()), tagged("event", event_to_json(&event))),
-        ];
-        for (rec, value) in &cases {
-            let mut direct = String::new();
-            rec.write_jsonl(&mut direct);
-            assert_eq!(direct, format!("{}\n", value.emit_compact()));
-        }
-        let mut counter = String::new();
-        Record::Counter("c\nx".into(), 7).write_jsonl(&mut counter);
-        assert_eq!(counter, "{\"t\":\"counter\",\"name\":\"c\\nx\",\"delta\":7}\n");
-        let mut val = String::new();
-        Record::Value("h".into(), 9).write_jsonl(&mut val);
-        assert_eq!(val, "{\"t\":\"value\",\"name\":\"h\",\"value\":9}\n");
     }
 }

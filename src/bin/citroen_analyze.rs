@@ -180,7 +180,7 @@ fn main() {
     }
     if alias_oracle {
         if smoke {
-            // check.sh stage 9 budget: 25 modules x (raw + 1 pipeline) = 50
+            // check.sh stage 8 budget: 25 modules x (raw + 1 pipeline) = 50
             // checked states.
             cfg.modules = 25;
             cfg.seqs_per_module = 1;

@@ -1,21 +1,17 @@
 //! `citroen-trace`: capture and analyse telemetry traces of the tuning stack.
 //!
-//! Capture: **record** runs a small CITROEN tuning run with a telemetry sink
-//! installed — in-memory (`--out`, pretty JSON) or streaming (`--stream-out`,
-//! JSONL through [`telemetry::StreamSink`]). Every analysis mode accepts
-//! both formats (sniffed by the leading `{"t":...}` record tag).
+//! Capture: **record** runs a small CITROEN tuning run and streams its trace
+//! as JSONL through [`telemetry::StreamSink`] — the one trace format every
+//! mode reads.
 //!
 //! Analysis: **show** (self/total breakdown, hottest spans, counters,
 //! histograms), **check** (structural assertions — the tier-1 telemetry
-//! gate), **diff** (per-name time and counter deltas between two traces),
-//! **tail** (render a live/partial JSONL stream, torn lines tolerated),
+//! gate), **tail** (render a live/partial stream, torn lines tolerated),
 //! **flame** (collapsed stacks for standard flamegraph tools), **curve**
-//! (per-run convergence table from the tuner's `progress` events).
-//!
-//! Regression tracking: **baseline** persists a compact per-span-name/counter
-//! summary of a trace; **regress** compares a new trace against it with
-//! percentage deltas and exits 1 past the threshold — the repo's
-//! perf-regression gate.
+//! (per-run convergence table from the tuner's `progress` events), and
+//! **regress** (per-name time and counter deltas of a trace against a
+//! baseline trace; exits 1 past the threshold — the repo's perf-regression
+//! gate). Every mode reads a `--stream-cap` trace's rotated generations too.
 //!
 //! Exits non-zero on parse failures or failed checks.
 
@@ -29,39 +25,38 @@ const USAGE: &str = "\
 citroen-trace — telemetry capture and trace analysis
 
 USAGE:
-    citroen-trace record [--out FILE | --stream-out FILE [--stream-cap N]]
+    citroen-trace record --out FILE [--stream-cap N]
                          [--bench NAME] [--budget N] [--seq-len N] [--seed S]
                          [--oracle] [--subsume] [--batch Q]
     citroen-trace show FILE [--top N] [--json]
     citroen-trace check FILE [--min-coverage F]
-    citroen-trace diff OLD NEW
     citroen-trace tail FILE
     citroen-trace flame FILE
     citroen-trace curve FILE
-    citroen-trace baseline FILE [--out FILE]
     citroen-trace regress FILE --baseline FILE [--threshold PCT]
                           [--span-floor-ms MS] [--counter-floor N]
     citroen-trace top --socket PATH [--once | --count N] [--interval-ms MS]
 
 MODES:
-    record           run a traced tuning run; write pretty JSON (--out /
-                     stdout) or stream JSONL records live (--stream-out)
+    record           run a traced tuning run, streaming JSONL records to
+                     --out live
     show             breakdown table + hottest spans + counters + histograms
                      (--json: machine-readable summary, exit codes unchanged)
     check            assert expected span kinds and iteration coverage
-    diff             per-name time deltas and counter deltas between traces
-    tail             render a live/partial JSONL stream (torn lines skipped;
-                     rotated FILE.1/FILE.2 generations followed oldest-first)
+    tail             render a live/partial stream (torn lines skipped)
     flame            collapsed flame stacks ('a;b;c <self_ns>' per line)
     curve            convergence table from the tuner's progress events;
                      exits 1 if the best-so-far column is not monotone
-    baseline         persist a per-span-name/counter summary for regress
-    regress          compare a trace against a stored baseline; exits 1 when
-                     any tracked time or counter grew past the threshold
+    regress          per-name time and counter deltas of a trace against a
+                     baseline trace; exits 1 when any tracked time or
+                     counter grew past the threshold
     top              poll a citroen-serve socket's `metrics` verb and render
                      per-tenant rates/quantiles/health; exits 1 when the
                      daemon reports health degraded (--once is the CI SLO
                      gate: one poll, exit 0 healthy / 1 degraded)
+
+Every mode that reads a trace FILE also reads the rotated FILE.2 and FILE.1
+generations a --stream-cap run leaves beside it, oldest first.
 
 RECORD OPTIONS:
     --bench NAME     benchmark to tune            [default: telecom_gsm]
@@ -71,7 +66,7 @@ RECORD OPTIONS:
     --oracle         enable oracle pruning (canonicalizer counters)
     --subsume        enable work-class subsumption collapse
     --batch Q        batched measurement lookahead        [default: 1]
-    --stream-cap N   rotate the JSONL stream at ~N bytes per file, keeping
+    --stream-cap N   rotate the stream at ~N bytes per file, keeping
                      FILE.1 and FILE.2 (disk bounded at ~3 caps)
 
 REGRESS OPTIONS:
@@ -99,9 +94,42 @@ fn parse_num(args: &mut std::env::Args, flag: &str) -> u64 {
 }
 
 fn load(path: &str) -> Trace {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read '{path}': {e}")));
-    Trace::parse_any(&text).unwrap_or_else(|e| die(&format!("'{path}': {e}")))
+    load_chain(path, false).0
+}
+
+/// Read a trace and the generations a `--stream-cap` writer rotated out
+/// beside it — `FILE.2` (oldest), `FILE.1`, then `FILE` (live) — merged
+/// into one trace. Returns the trace, the number of files read, and the
+/// number of unparseable lines skipped. Only `lossy` (tail's view of a
+/// live stream) skips lines; otherwise the first malformed one is fatal.
+fn load_chain(file: &str, lossy: bool) -> (Trace, usize, usize) {
+    let mut t = Trace::default();
+    let (mut generations, mut skipped) = (0usize, 0usize);
+    for gen in [format!("{file}.2"), format!("{file}.1"), file.to_string()] {
+        let text = match std::fs::read_to_string(&gen) {
+            Ok(text) => text,
+            // Rotated generations are optional; only the live file must exist.
+            Err(_) if gen != file => continue,
+            Err(e) => die(&format!("cannot read '{gen}': {e}")),
+        };
+        generations += 1;
+        let part = if lossy {
+            let (part, part_skipped) = Trace::parse_jsonl_lossy(&text);
+            skipped += part_skipped;
+            part
+        } else {
+            Trace::parse_jsonl(&text).unwrap_or_else(|e| die(&format!("'{gen}': {e}")))
+        };
+        t.spans.extend(part.spans);
+        t.events.extend(part.events);
+        for (name, v) in part.counters {
+            *t.counters.entry(name).or_insert(0) += v;
+        }
+        for (name, h) in part.hists {
+            t.hists.entry(name).or_default().merge(&h);
+        }
+    }
+    (t, generations, skipped)
 }
 
 /// Nanoseconds → fixed-width human milliseconds.
@@ -116,11 +144,9 @@ fn main() {
         Some("record") => record(args),
         Some("show") => show(args),
         Some("check") => check(args),
-        Some("diff") => diff(args),
         Some("tail") => tail(args),
         Some("flame") => flame(args),
         Some("curve") => curve(args),
-        Some("baseline") => baseline(args),
         Some("regress") => regress(args),
         Some("top") => top(args),
         Some(other) => die(&format!("unknown mode '{other}'")),
@@ -134,16 +160,12 @@ fn main() {
 
 fn record(mut args: std::env::Args) {
     let (mut out, mut bench) = (None::<String>, "telecom_gsm".to_string());
-    let mut stream_out = None::<String>;
     let mut stream_cap = None::<u64>;
     let (mut budget, mut seq_len, mut seed) = (12usize, 16usize, 1u64);
     let (mut oracle, mut subsume, mut batch) = (false, false, 1usize);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
-            "--stream-out" => {
-                stream_out = Some(args.next().unwrap_or_else(|| die("--stream-out needs a file")))
-            }
             "--stream-cap" => stream_cap = Some(parse_num(&mut args, "--stream-cap")),
             "--bench" => bench = args.next().unwrap_or_else(|| die("--bench needs a name")),
             "--budget" => budget = parse_num(&mut args, "--budget") as usize,
@@ -155,12 +177,7 @@ fn record(mut args: std::env::Args) {
             other => die(&format!("record: unknown argument '{other}'")),
         }
     }
-    if out.is_some() && stream_out.is_some() {
-        die("record: --out and --stream-out are mutually exclusive");
-    }
-    if stream_cap.is_some() && stream_out.is_none() {
-        die("record: --stream-cap only applies with --stream-out");
-    }
+    let out = out.unwrap_or_else(|| die("record needs --out FILE"));
     let b = citroen_suite::all_benchmarks()
         .into_iter()
         .find(|b| b.name == bench)
@@ -170,15 +187,9 @@ fn record(mut args: std::env::Args) {
             die(&format!("unknown benchmark '{bench}'; have: {}", names.join(", ")))
         });
 
-    match &stream_out {
-        Some(path) => match stream_cap {
-            Some(cap) => telemetry::enable_stream_capped(path, cap)
-                .unwrap_or_else(|e| die(&format!("cannot stream to '{path}': {e}"))),
-            None => telemetry::enable_stream(path)
-                .unwrap_or_else(|e| die(&format!("cannot stream to '{path}': {e}"))),
-        },
-        None => telemetry::enable(),
-    }
+    let sink = telemetry::StreamSink::create_with_cap(&out, stream_cap)
+        .unwrap_or_else(|e| die(&format!("cannot stream to '{out}': {e}")));
+    telemetry::install(Box::new(sink));
     let mut task = Task::new(
         b,
         Registry::full(),
@@ -195,42 +206,19 @@ fn record(mut args: std::env::Args) {
         ..Default::default()
     };
     let (trace, _) = run_citroen(&mut task, budget, &cfg);
+    // Dropping the sink joins the writer thread and flushes the file.
+    drop(telemetry::disable());
 
-    if let Some(path) = &stream_out {
-        // Dropping the sink joins the writer thread and flushes the file.
-        drop(telemetry::disable());
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read back '{path}': {e}")));
-        let telem = Trace::parse_jsonl(&text)
-            .unwrap_or_else(|e| die(&format!("streamed trace '{path}': {e}")));
-        eprintln!(
-            "[record] {bench}: best {:.3e}s over {} measurements; streamed {} lines \
-             ({} spans, {} events) to {path}",
-            trace.best(),
-            task.measurements,
-            text.lines().count(),
-            telem.spans.len(),
-            telem.events.len()
-        );
-        return;
-    }
-
-    let telem = telemetry::take_trace().expect("memory sink must yield a trace");
-    telemetry::disable();
-
+    let telem = load(&out);
     eprintln!(
-        "[record] {bench}: best {:.3e}s over {} measurements, {} spans, {} counters",
+        "[record] {bench}: best {:.3e}s over {} measurements; streamed {} spans, \
+         {} events, {} counters to {out}",
         trace.best(),
         task.measurements,
         telem.spans.len(),
+        telem.events.len(),
         telem.counters.len()
     );
-    let text = telem.emit_pretty();
-    match out {
-        Some(path) => std::fs::write(&path, text)
-            .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}"))),
-        None => println!("{text}"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ fn show(mut args: std::env::Args) {
     }
     let t = load(&file.unwrap_or_else(|| die("show needs a trace file")));
     if json {
-        println!("{}", show_json(&t, top).emit_pretty());
+        println!("{}", show_json(&t, top).emit_compact());
         return;
     }
 
@@ -452,89 +440,18 @@ fn check(mut args: std::env::Args) {
 }
 
 // ---------------------------------------------------------------------------
-// diff
-// ---------------------------------------------------------------------------
-
-fn diff(mut args: std::env::Args) {
-    let old = args.next().unwrap_or_else(|| die("diff needs OLD and NEW trace files"));
-    let new = args.next().unwrap_or_else(|| die("diff needs OLD and NEW trace files"));
-    if let Some(extra) = args.next() {
-        die(&format!("diff: unexpected argument '{extra}'"));
-    }
-    let (a, b) = (load(&old), load(&new));
-
-    let into_map = |t: &Trace| -> std::collections::BTreeMap<String, (u64, u64, u64)> {
-        t.aggregate().into_iter().map(|r| (r.name, (r.count, r.total_ns, r.self_ns))).collect()
-    };
-    let (ra, rb) = (into_map(&a), into_map(&b));
-    let names: std::collections::BTreeSet<&String> = ra.keys().chain(rb.keys()).collect();
-
-    println!("== span time deltas (new - old, by self time) ==");
-    println!("{:<28} {:>14} {:>14} {:>14}", "name", "old self", "new self", "delta");
-    let mut rows: Vec<(&String, u64, u64)> = names
-        .iter()
-        .map(|n| {
-            let sa = ra.get(*n).map(|r| r.2).unwrap_or(0);
-            let sb = rb.get(*n).map(|r| r.2).unwrap_or(0);
-            (*n, sa, sb)
-        })
-        .collect();
-    rows.sort_by_key(|(_, sa, sb)| std::cmp::Reverse(sa.abs_diff(*sb)));
-    for (n, sa, sb) in rows {
-        let delta = sb as i128 - sa as i128;
-        println!("{n:<28} {} {} {:>+13.3}ms", ms(sa), ms(sb), delta as f64 / 1e6);
-    }
-
-    println!("\n== counter deltas (new - old) ==");
-    let keys: std::collections::BTreeSet<&String> = a.counters.keys().chain(b.counters.keys()).collect();
-    for k in keys {
-        let va = a.counters.get(k).copied().unwrap_or(0);
-        let vb = b.counters.get(k).copied().unwrap_or(0);
-        if va != vb {
-            println!("{k:<32} {va:>12} -> {vb:<12} ({:+})", vb as i128 - va as i128);
-        } else {
-            println!("{k:<32} {va:>12} (unchanged)");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // tail
 // ---------------------------------------------------------------------------
 
 /// Render a live/partial JSONL stream: the writer may be mid-line and the
-/// run may still be going, so parse lossily and summarise what's there.
-///
-/// `--stream-cap` writers rotate the stream as `FILE.2` (oldest), `FILE.1`,
-/// `FILE` (live); tail follows the whole chain oldest-first so the summary
-/// covers the full run, not just the most recent generation.
+/// run may still be going, so parse lossily and summarise what's there,
+/// rotated generations included.
 fn tail(mut args: std::env::Args) {
     let file = args.next().unwrap_or_else(|| die("tail needs a trace file"));
     if let Some(extra) = args.next() {
         die(&format!("tail: unexpected argument '{extra}'"));
     }
-    let mut t = Trace::default();
-    let mut skipped = 0usize;
-    let mut generations = 0usize;
-    for gen in [format!("{file}.2"), format!("{file}.1"), file.clone()] {
-        let text = match std::fs::read_to_string(&gen) {
-            Ok(text) => text,
-            // Rotated generations are optional; only the live file must exist.
-            Err(_) if gen != file => continue,
-            Err(e) => die(&format!("cannot read '{gen}': {e}")),
-        };
-        generations += 1;
-        let (part, part_skipped) = Trace::parse_jsonl_lossy(&text);
-        skipped += part_skipped;
-        t.spans.extend(part.spans);
-        t.events.extend(part.events);
-        for (name, v) in part.counters {
-            *t.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in part.hists {
-            t.hists.entry(name).or_default().merge(&h);
-        }
-    }
+    let (t, generations, skipped) = load_chain(&file, true);
 
     println!(
         "{}{}: {} spans, {} events, {} counters, {} histograms{}",
@@ -552,7 +469,7 @@ fn tail(mut args: std::env::Args) {
         println!("{:<28} {:>7} {} {}", r.name, r.count, ms(r.total_ns), ms(r.self_ns));
     }
     let progress: Vec<_> = t.events.iter().filter(|e| e.name == "progress").collect();
-    if let Some(last) = progress.last() {
+    if !progress.is_empty() {
         println!("\n== last {} progress events (of {}) ==", progress.len().min(5), progress.len());
         for e in progress.iter().rev().take(5).rev() {
             println!(
@@ -563,7 +480,6 @@ fn tail(mut args: std::env::Args) {
                 ms(e.field("best_ns").unwrap_or(0)),
             );
         }
-        let _ = last;
     }
 }
 
@@ -652,59 +568,8 @@ fn curve(mut args: std::env::Args) {
 }
 
 // ---------------------------------------------------------------------------
-// baseline / regress
+// regress
 // ---------------------------------------------------------------------------
-
-/// Serialise the regression-tracking summary of a trace: per-span-name
-/// aggregates plus counter totals. Deliberately excludes wall-clock-free
-/// quantities only (counts *and* times are kept — `regress` decides what's
-/// stable enough to compare).
-fn summary_json(t: &Trace) -> Value {
-    let names = Value::Arr(
-        t.aggregate()
-            .into_iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("name".into(), Value::str(r.name)),
-                    ("count".into(), Value::U64(r.count)),
-                    ("total_ns".into(), Value::U64(r.total_ns)),
-                    ("self_ns".into(), Value::U64(r.self_ns)),
-                ])
-            })
-            .collect(),
-    );
-    let counters = Value::Obj(
-        t.counters.iter().map(|(k, v)| (k.clone(), Value::U64(*v))).collect(),
-    );
-    Value::Obj(vec![
-        ("version".into(), Value::U64(1)),
-        ("names".into(), names),
-        ("counters".into(), counters),
-    ])
-}
-
-fn baseline(mut args: std::env::Args) {
-    let mut file = None::<String>;
-    let mut out = None::<String>;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a file"))),
-            other if file.is_none() => file = Some(other.to_string()),
-            other => die(&format!("baseline: unexpected argument '{other}'")),
-        }
-    }
-    let t = load(&file.unwrap_or_else(|| die("baseline needs a trace file")));
-    let text = summary_json(&t).emit_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &text)
-                .unwrap_or_else(|e| die(&format!("cannot write '{path}': {e}")));
-            eprintln!("[baseline] wrote {} span names, {} counters to {path}",
-                t.aggregate().len(), t.counters.len());
-        }
-        None => println!("{text}"),
-    }
-}
 
 /// Default time floor below which a span name is too noisy to gate on
 /// (1 ms), and the default counter floor below which relative deltas are
@@ -742,13 +607,7 @@ fn regress(mut args: std::env::Args) {
     }
     let t = load(&file.unwrap_or_else(|| die("regress needs a trace file")));
     let base_path = base_path.unwrap_or_else(|| die("regress needs --baseline FILE"));
-    let base_text = std::fs::read_to_string(&base_path)
-        .unwrap_or_else(|e| die(&format!("cannot read '{base_path}': {e}")));
-    let base = Value::parse(&base_text)
-        .unwrap_or_else(|e| die(&format!("'{base_path}': {e}")));
-    if base.get("version").and_then(Value::as_u64) != Some(1) {
-        die(&format!("'{base_path}' is not a version-1 baseline summary"));
-    }
+    let base = load(&base_path);
 
     let new_names: std::collections::BTreeMap<String, u64> =
         t.aggregate().into_iter().map(|r| (r.name, r.total_ns)).collect();
@@ -757,17 +616,12 @@ fn regress(mut args: std::env::Args) {
 
     println!("== regress vs {base_path} (threshold +{threshold:.0}%) ==");
     println!("{:<28} {:>14} {:>14} {:>8}", "span name (total)", "baseline", "current", "delta");
-    for entry in base.get("names").and_then(Value::as_arr).unwrap_or(&[]) {
-        let (Some(name), Some(old)) = (
-            entry.get("name").and_then(Value::as_str),
-            entry.get("total_ns").and_then(Value::as_u64),
-        ) else {
-            die(&format!("'{base_path}': malformed names entry"));
-        };
+    for r in base.aggregate() {
+        let (name, old) = (r.name, r.total_ns);
         if old < span_floor_ns {
             continue; // too small to gate on
         }
-        let new = new_names.get(name).copied().unwrap_or(0);
+        let new = new_names.get(&name).copied().unwrap_or(0);
         let delta = pct(old, new);
         let mark = if delta > threshold { " <-- REGRESSION" } else { "" };
         println!("{name:<28} {} {} {delta:>+7.1}%{mark}", ms(old), ms(new));
@@ -776,21 +630,16 @@ fn regress(mut args: std::env::Args) {
         }
     }
     println!("\n{:<28} {:>14} {:>14} {:>8}", "counter", "baseline", "current", "delta");
-    if let Some(Value::Obj(pairs)) = base.get("counters") {
-        for (name, v) in pairs {
-            let old = v
-                .as_u64()
-                .unwrap_or_else(|| die(&format!("'{base_path}': counter '{name}' not integer")));
-            if old < counter_floor {
-                continue;
-            }
-            let new = t.counters.get(name).copied().unwrap_or(0);
-            let delta = pct(old, new);
-            let mark = if delta > threshold { " <-- REGRESSION" } else { "" };
-            println!("{name:<28} {old:>14} {new:>14} {delta:>+7.1}%{mark}");
-            if delta > threshold {
-                breaches.push(format!("counter '{name}' {delta:+.1}%"));
-            }
+    for (name, &old) in &base.counters {
+        if old < counter_floor {
+            continue;
+        }
+        let new = t.counters.get(name).copied().unwrap_or(0);
+        let delta = pct(old, new);
+        let mark = if delta > threshold { " <-- REGRESSION" } else { "" };
+        println!("{name:<28} {old:>14} {new:>14} {delta:>+7.1}%{mark}");
+        if delta > threshold {
+            breaches.push(format!("counter '{name}' {delta:+.1}%"));
         }
     }
 

@@ -291,7 +291,7 @@ fn trace_show_surfaces_sanitizer_and_canonicalizer_counters() {
 
 #[test]
 fn trace_tail_follows_rotated_stream_generations() {
-    // A `--stream-cap` writer rotates FILE → FILE.1 → FILE.2; tail must
+    // A `--stream-cap` writer rotates FILE → FILE.1 → FILE.2; readers must
     // merge the whole chain oldest-first, not just the live file.
     let live = temp_text("rotated.jsonl", &tuning_jsonl(1));
     let path = live.to_str().unwrap();
@@ -304,6 +304,11 @@ fn trace_tail_follows_rotated_stream_generations() {
     // 3 generations × 9 spans each, and the header names the rotated files.
     assert!(stdout.contains("(+2 rotated)"), "{stdout}");
     assert!(stdout.contains("27 spans"), "{stdout}");
+    // The strict readers load the same chain.
+    let out = trace_bin(&["check", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("trace OK: 27 spans"), "{stdout}");
 
     // Without rotated siblings the live file alone is summarised, as before.
     std::fs::remove_file(format!("{path}.1")).unwrap();
@@ -333,49 +338,38 @@ fn trace_curve_exits_1_when_best_so_far_regresses() {
 fn trace_regress_exit_codes_follow_the_threshold() {
     let good = temp_text("base-run.jsonl", &tuning_jsonl(1));
     let slow = temp_text("slow-run.jsonl", &tuning_jsonl(3)); // 3× every span
-    let baseline = std::env::temp_dir()
-        .join(format!("citroen-exit-{}-baseline.json", std::process::id()));
+    let (good, slow) = (good.to_str().unwrap(), slow.to_str().unwrap());
 
-    let out = trace_bin(&[
-        "baseline",
-        good.to_str().unwrap(),
-        "--out",
-        baseline.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-
-    // Same run vs its own baseline: no deltas, exit 0.
-    let out = trace_bin(&[
-        "regress",
-        good.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
+    // Same run vs itself as the baseline: no deltas, exit 0.
+    let out = trace_bin(&["regress", good, "--baseline", good]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
 
     // A 3×-slower run blows through the default 25% threshold: exit 1.
-    let out = trace_bin(&[
-        "regress",
-        slow.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-    ]);
+    let out = trace_bin(&["regress", slow, "--baseline", good]);
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("REGRESSION"), "{stdout}");
 
     // ... but a generous threshold tolerates it.
-    let out = trace_bin(&[
-        "regress",
-        slow.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--threshold",
-        "250",
-    ]);
+    let out = trace_bin(&["regress", slow, "--baseline", good, "--threshold", "250"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
 
-    for f in [good, slow, baseline] {
+    for f in [good, slow] {
         let _ = std::fs::remove_file(f);
     }
+}
+
+#[test]
+fn trace_show_rejects_a_pretty_whole_trace_document() {
+    // JSONL is the only trace format: a pretty-printed whole-trace document
+    // (no `{"t":...}` header line) is a parse error on its first line.
+    let doc = temp_text(
+        "pretty.json",
+        "{\n  \"version\": 1,\n  \"spans\": [],\n  \"counters\": {}\n}\n",
+    );
+    let out = trace_bin(&["show", doc.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 1:"), "{stderr}");
+    let _ = std::fs::remove_file(doc);
 }
