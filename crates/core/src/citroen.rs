@@ -98,10 +98,6 @@ pub struct CitroenConfig {
     /// Module-independent (every drop is a theorem on any input), and usable
     /// with or without `oracle_prune`. Off by default (paper-faithful).
     pub subsume_collapse: bool,
-    /// Warm-start canonicalisation from a persisted `citroen-analyze oracle
-    /// --json` interaction graph instead of deriving the enables edges and
-    /// work model per task. Ignored (with a warning) when unreadable.
-    pub oracle_graph: Option<String>,
     /// Measurements selected and profiled per model-guided iteration (q).
     /// `1` measures the analytic UCB argmax of a model refitted on every
     /// observation, all in the calling thread, bit-identical to previous
@@ -134,7 +130,6 @@ impl Default for CitroenConfig {
             oracle_prune: false,
             idem_collapse: true,
             subsume_collapse: false,
-            oracle_graph: None,
             batch: 1,
             compile_cache_cap: 1024,
             seed: 0,
@@ -780,26 +775,17 @@ impl<'a> Session<'a> {
 /// Oracle- and subsumption-based sequence canonicalisation (off by default):
 /// verdicts on the source hot module give the dead mask; running each pass
 /// once gives the module-local enables edges that keep a dead pass when an
-/// earlier kept pass may wake it. A persisted interaction graph
-/// (`oracle_graph`, or one the daemon attached) replaces the per-task
-/// enables derivation and supplies the work model; `subsume_collapse` adds
-/// the module-independent work-class dataflow.
+/// earlier kept pass may wake it. An interaction graph attached to the
+/// session ([`SessionEnv::graph`], loaded once by the daemon) replaces the
+/// per-task enables derivation and supplies the work model;
+/// `subsume_collapse` adds the module-independent work-class dataflow.
 fn canonicalizer(
     task: &Task,
     cfg: &CitroenConfig,
     env: &SessionEnv,
 ) -> Option<SeqCanonicalizer> {
-    // The daemon loads the persisted graph once and shares it across
-    // tenants; an attached graph takes precedence over the per-run path.
-    let graph = env.graph.as_deref().cloned().or_else(|| {
-        let path = cfg.oracle_graph.as_deref()?;
-        std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| oracle::InteractionGraph::from_json(&t))
-            .map_err(|e| eprintln!("warning: ignoring oracle graph '{path}': {e}"))
-            .ok()
-    });
-    let graph_inputs = graph.as_ref().map(|g| oracle::canonicalizer_inputs(&task.registry, g));
+    let graph_inputs =
+        env.graph.as_deref().map(|g| oracle::canonicalizer_inputs(&task.registry, g));
     (cfg.oracle_prune || cfg.subsume_collapse).then(|| {
         let n = task.registry.len();
         let (dead, mask) = if cfg.oracle_prune {
@@ -1302,8 +1288,8 @@ mod tests {
         // place. Arm A runs the old model — the registry's work triple
         // truncated to the first twelve classes, so any mask reaching into
         // the new bits reverts to `None` (never dropped), exactly the
-        // pre-growth declarations — injected through a persisted
-        // interaction graph; arm B runs the same graph with the full
+        // pre-growth declarations — injected through an interaction graph
+        // attached to the session; arm B runs the same graph with the full
         // model. Same seeds, same budget: the full matrix must cut compile
         // work (passes executed — every extra drop shortens the compiled
         // canonical sequence) by >=5% more at unchanged median
@@ -1356,15 +1342,11 @@ mod tests {
                 *p &= OLD;
             }
         }
-        let dir = std::env::temp_dir();
-        let p16 = dir.join(format!("citroen_g16_{}.json", std::process::id()));
-        let p12 = dir.join(format!("citroen_g12_{}.json", std::process::id()));
-        std::fs::write(&p16, g16.to_json()).unwrap();
-        std::fs::write(&p12, g12.to_json()).unwrap();
+        let (g16, g12) = (Arc::new(g16), Arc::new(g12));
 
         let seeds: Vec<u64> = (1..=10).collect();
         let runs = citroen_rt::par::par_map(seeds, |seed| {
-            let run = |graph: &std::path::Path| {
+            let run = |graph: &Arc<oracle::InteractionGraph>| {
                 let mut task = Task::new(
                     citroen_suite::kernels::telecom_gsm(),
                     loop_registry(),
@@ -1375,17 +1357,15 @@ mod tests {
                     candidates: 24,
                     init_random: 6,
                     subsume_collapse: true,
-                    oracle_graph: Some(graph.to_string_lossy().into_owned()),
                     seed,
                     ..Default::default()
                 };
-                let (trace, _) = run_citroen(&mut task, 40, &cfg);
+                let env = SessionEnv { graph: Some(graph.clone()), ..Default::default() };
+                let trace = run_citroen_session(&mut task, 40, &cfg, &env).trace;
                 (trace.best() / task.o3_seconds, task.passes_executed)
             };
-            (run(&p12), run(&p16))
+            (run(&g12), run(&g16))
         });
-        let _ = std::fs::remove_file(&p16);
-        let _ = std::fs::remove_file(&p12);
         let mut extra: Vec<f64> = runs
             .iter()
             .map(|((_, w12), (_, w16))| 1.0 - *w16 as f64 / *w12 as f64)
@@ -1410,25 +1390,25 @@ mod tests {
     }
 
     #[test]
-    fn oracle_graph_warm_start_matches_per_task_derivation() {
+    fn attached_graph_warm_start_matches_per_task_derivation() {
         // Persist the interaction graph derived over the task's own hot
-        // module, then rerun with `oracle_graph` pointing at the file: the
-        // canonicalizer inputs are identical, so the whole tuning trajectory
-        // (best runtime and compile count) must be bit-identical to the
-        // per-task derivation.
+        // module, load it back, and attach it to the session the way the
+        // daemon does: the canonicalizer inputs are identical, so the whole
+        // tuning trajectory (best runtime and compile count) must be
+        // bit-identical to the per-task derivation.
         let seed = 7;
-        let run = |graph: Option<String>| {
+        let run = |graph: Option<Arc<oracle::InteractionGraph>>| {
             let mut task = gsm_task(seed);
             let cfg = CitroenConfig {
                 candidates: 12,
                 init_random: 4,
                 oracle_prune: true,
                 subsume_collapse: true,
-                oracle_graph: graph,
                 seed,
                 ..Default::default()
             };
-            let (trace, _) = run_citroen(&mut task, 10, &cfg);
+            let env = SessionEnv { graph, ..Default::default() };
+            let trace = run_citroen_session(&mut task, 10, &cfg, &env).trace;
             (trace.best(), task.compilations)
         };
         let task = gsm_task(seed);
@@ -1437,14 +1417,9 @@ mod tests {
             &task.registry,
             &[task.benchmark().modules[hot].clone()],
         );
-        let path = std::env::temp_dir().join(format!("citroen_graph_{}.json", std::process::id()));
-        std::fs::write(&path, g.to_json()).unwrap();
+        let loaded = oracle::InteractionGraph::from_json(&g.to_json()).unwrap();
         let derived = run(None);
-        let warm = run(Some(path.to_string_lossy().into_owned()));
-        let _ = std::fs::remove_file(&path);
+        let warm = run(Some(Arc::new(loaded)));
         assert_eq!(derived, warm, "graph warm-start diverged from per-task derivation");
-        // A bogus path degrades gracefully to per-task derivation.
-        let fallback = run(Some("/nonexistent/citroen_graph.json".into()));
-        assert_eq!(derived, fallback);
     }
 }

@@ -9,9 +9,9 @@
 //! the tenant would have computed locally. A session run against a pre-warmed
 //! [`SharedCompileCache`] therefore produces a tuning trajectory (runtimes,
 //! best history, best sequences) bit-identical to a cold standalone run at
-//! the same seed; only the compile *counters* and wall-clock differ. The
-//! serve smoke gate (`citroen-serve bench`) and
-//! `crates/core/tests` assert this with [`trace_digest`].
+//! the same seed; only the compile *counters* and wall-clock differ.
+//! `crates/core/tests`, `crates/serve/tests/determinism.rs` and the root
+//! `tests/serve_stdio.rs` assert this with [`trace_digest`].
 
 use crate::cache::{BoundedCache, EvictionPolicy};
 use crate::citroen::ImpactReport;
@@ -208,8 +208,8 @@ pub struct SessionEnv {
     /// genome and fed every local compile. `None` = sessions don't share.
     pub shared_cache: Option<Arc<SharedCompileCache>>,
     /// A pre-loaded interaction graph (the `citroen-analyze oracle --json`
-    /// artifact), loaded once by the daemon; takes precedence over the
-    /// per-session `CitroenConfig::oracle_graph` file path.
+    /// artifact), loaded once by the daemon; replaces the per-task enables
+    /// derivation in the canonicalizer. `None` = derive per task.
     pub graph: Option<Arc<InteractionGraph>>,
     /// A shared worker pool for the batched (`batch > 1`) loop. `None` =
     /// the session spawns its own, as standalone runs always did.

@@ -100,3 +100,20 @@ impl ServeState {
         ServeState { cfg, cache, graph, pool, corpus: Mutex::new(Vec::new()) }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unreadable_graph_path_degrades_to_per_task_derivation() {
+        // A bogus `--graph` path is warned about, not fatal: the daemon runs
+        // without a shared graph, so sessions derive it per task exactly as
+        // standalone runs do.
+        let state = ServeState::new(ServeConfig {
+            graph_path: Some("/nonexistent/citroen_graph.json".into()),
+            ..Default::default()
+        });
+        assert!(state.graph.is_none());
+    }
+}

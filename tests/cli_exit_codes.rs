@@ -1,5 +1,5 @@
-//! Exit-code contract of the `citroen-analyze` and `citroen-trace` binaries:
-//! 0 on a clean run, 1 when findings (lint diagnostics, oracle violations,
+//! Exit-code contract of the `citroen-analyze`, `citroen-trace` and
+//! `citroen-serve` binaries: 0 on a clean run, 1 when findings (lint diagnostics, oracle violations,
 //! trace-check failures, regressions) exist, 2 on usage errors. CI scripts
 //! branch on these codes, so they are pinned here against the real binaries
 //! rather than the library functions behind them.
@@ -9,7 +9,7 @@ use citroen_ir::inst::Operand;
 use citroen_ir::module::Module;
 use citroen_ir::types::I64;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn analyze(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_citroen-analyze"))
@@ -372,4 +372,55 @@ fn trace_show_rejects_a_pretty_whole_trace_document() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 1:"), "{stderr}");
     let _ = std::fs::remove_file(doc);
+}
+
+// ---------------------------------------------------------------------------
+// citroen-serve
+// ---------------------------------------------------------------------------
+
+/// Run the daemon over stdio with an empty stdin: valid flags serve nothing,
+/// drain, and exit 0; bad flags exit 2 before serving.
+fn serve_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_citroen-serve"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn citroen-serve")
+}
+
+#[test]
+fn serve_usage_errors_exit_2() {
+    // The daemon only serves: the old self-test modes and their flag are
+    // unknown arguments.
+    for args in [&["bench"][..], &["smoke"], &["--budget", "8"]] {
+        let out = serve_bin(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"), "{args:?}");
+    }
+    let usage = String::from_utf8_lossy(&serve_bin(&["bench"]).stderr).into_owned();
+    assert!(!usage.contains("--budget") && !usage.contains("smoke"), "{usage}");
+}
+
+#[test]
+fn serve_rejects_slo_thresholds_that_disable_or_jam_a_sentinel() {
+    // NaN compares false against every EWMA, silently switching a sentinel
+    // off; a negative ceiling breaches forever; a hit ratio lives in [0, 1].
+    for (flag, value) in [
+        ("--slo-queue-ms", "nan"),
+        ("--slo-run-ms", "NaN"),
+        ("--slo-compile-us", "-1"),
+        ("--slo-queue-ms", "-0.5"),
+        ("--slo-hit-ratio", "nan"),
+        ("--slo-hit-ratio", "1.5"),
+        ("--slo-hit-ratio", "-0.1"),
+    ] {
+        let out = serve_bin(&[flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{flag} {value}");
+    }
+    // The bounds themselves are valid: the daemon serves the empty stdin,
+    // says bye, and exits 0.
+    let out = serve_bin(&["--slo-run-ms", "0", "--slo-hit-ratio", "1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"type\":\"bye\""));
 }

@@ -1,7 +1,9 @@
 //! The CI SLO gate, end to end over real binaries: `citroen-trace top
 //! --once` against a live socket daemon must exit 0 while the daemon is
-//! healthy and 1 once an (injected) SLO breach degrades it.
+//! healthy and 1 once an (injected) SLO breach degrades it. Jobs submitted
+//! over the socket must complete, and the `metrics` verb must report them.
 
+use citroen_rt::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -45,32 +47,46 @@ fn spawn_daemon(name: &str, extra: &[&str]) -> DaemonGuard {
     guard
 }
 
-/// Submit one small job over the socket and block until its result reply,
-/// so the SLO sentinels have observed a completed session before `top`
-/// polls. The connection is dropped before returning (the daemon serves
-/// connections sequentially).
-fn run_one_job(socket: &Path) {
+/// One socket connection with a read timeout, so a hung daemon fails the
+/// test instead of blocking it.
+fn connect(socket: &Path) -> (UnixStream, BufReader<UnixStream>) {
     let stream = UnixStream::connect(socket).expect("connect daemon socket");
     stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let mut writer = stream.try_clone().expect("clone socket");
-    writer
-        .write_all(
-            b"{\"type\":\"submit\",\"job\":{\"id\":\"g\",\"bench\":\"telecom_gsm\",\
-              \"budget\":3,\"seed\":3}}\n",
-        )
-        .expect("submit");
+    let reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    (stream, reader)
+}
+
+/// Send one request line and return the first reply of type `ty`.
+fn request(writer: &mut UnixStream, reader: &mut impl BufRead, req: &str, ty: &str) -> Value {
+    writer.write_all(req.as_bytes()).expect("send request");
+    writer.write_all(b"\n").expect("send request");
     writer.flush().unwrap();
-    let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
         let n = reader.read_line(&mut line).expect("daemon reply");
-        assert!(n > 0, "daemon closed the connection before the job finished");
-        if line.contains("\"type\":\"result\"") {
-            return;
+        assert!(n > 0, "daemon closed the connection before its '{ty}' reply");
+        let v = Value::parse(line.trim()).unwrap_or_else(|e| panic!("bad reply '{line}': {e}"));
+        match v.get("type").and_then(Value::as_str) {
+            Some(t) if t == ty => return v,
+            Some("error") => panic!("daemon error reply: {line}"),
+            _ => {}
         }
-        assert!(!line.contains("\"type\":\"error\""), "daemon error reply: {line}");
     }
+}
+
+const SUBMIT: &str =
+    r#"{"type":"submit","job":{"id":"g","bench":"telecom_gsm","budget":3,"seed":3}}"#;
+
+/// Submit one small job over the socket and block until its result reply,
+/// so the SLO sentinels have observed a completed session before `top`
+/// polls; the job must have completed. The connection is dropped before
+/// returning (the daemon serves connections sequentially).
+fn run_one_job(socket: &Path) {
+    let (mut writer, mut reader) = connect(socket);
+    let result = request(&mut writer, &mut reader, SUBMIT, "result");
+    let exit = result.get("exit").and_then(Value::as_str);
+    assert_eq!(exit, Some("completed"), "job did not complete: {result:?}");
 }
 
 fn top_once(socket: &Path) -> i32 {
@@ -86,6 +102,19 @@ fn top_once(socket: &Path) -> i32 {
 fn top_exits_zero_on_healthy_daemon() {
     let daemon = spawn_daemon("ok", &[]);
     run_one_job(&daemon.socket);
+    {
+        let (mut writer, mut reader) = connect(&daemon.socket);
+        let m = request(&mut writer, &mut reader, r#"{"type":"metrics"}"#, "metrics");
+        assert_eq!(m.get("health").and_then(Value::as_str), Some("ok"), "metrics: {m:?}");
+        let done = m
+            .get("global")
+            .and_then(|g| g.get("counters"))
+            .and_then(|c| c.get("jobs.done"))
+            .and_then(|c| c.get("total"))
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        assert!(done >= 1, "metrics report {done} jobs done: {m:?}");
+    }
     assert_eq!(top_once(&daemon.socket), 0, "healthy daemon must gate green");
 }
 
