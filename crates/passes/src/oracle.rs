@@ -98,38 +98,37 @@ pub fn work_model(reg: &Registry) -> WorkModel {
     }
 }
 
-/// One subsumption-edge theorem check: for a claimed edge `p → q`
-/// (`fires_on(q) ⊆ clears(p)`), run `p` on a clone of `m` — then `q` must
-/// leave the fingerprint unchanged and record zero statistics. Returns
-/// `Some(description)` on a contradiction, `None` when the theorem holds.
-/// The chain-level generalisation (the absent-set dataflow across whole
-/// sequences) is exercised by the `citroen-analyze subsume` fuzz campaign.
-pub fn check_subsumed(p: &dyn Pass, q: &dyn Pass, m: &Module) -> Option<String> {
-    let mut after_p = m.clone();
+/// The no-op theorem behind every pass the search may drop: run `pass` on
+/// `m` in place; a pass that provably changes nothing leaves the module
+/// fingerprint unchanged and records zero statistics. Returns the
+/// contradiction, if any, as a predicate on the pass ("changed the module
+/// fingerprint", "recorded statistics: …"). Every soundness check of a
+/// `CannotFire` verdict, a subsumption claim or a mined edge ends here.
+pub fn check_noop(pass: &dyn Pass, m: &mut Module) -> Option<String> {
+    let before = citroen_ir::print::fingerprint(m);
     let mut stats = Stats::new();
-    p.run(&mut after_p, &mut stats);
-    let before = citroen_ir::print::fingerprint(&after_p);
-    let mut after_q = after_p.clone();
-    let mut qstats = Stats::new();
-    q.run(&mut after_q, &mut qstats);
-    if citroen_ir::print::fingerprint(&after_q) != before {
-        Some(format!(
-            "subsumption '{}' → '{}' violated: '{}' changed the module fingerprint",
-            p.name(),
-            q.name(),
-            q.name()
-        ))
-    } else if !qstats.is_empty() {
-        Some(format!(
-            "subsumption '{}' → '{}' violated: '{}' recorded statistics: {}",
-            p.name(),
-            q.name(),
-            q.name(),
-            qstats.keys().join(", ")
-        ))
+    pass.run(m, &mut stats);
+    if citroen_ir::print::fingerprint(m) != before {
+        Some("changed the module fingerprint".to_string())
+    } else if !stats.is_empty() {
+        Some(format!("recorded statistics: {}", stats.keys().join(", ")))
     } else {
         None
     }
+}
+
+/// One subsumption-edge theorem check: for a claimed edge `p → q`
+/// (`fires_on(q) ⊆ clears(p)`), run `p` on a clone of `m` — then `q` must
+/// be a no-op ([`check_noop`]). Returns `Some(description)` on a
+/// contradiction, `None` when the theorem holds. The chain-level
+/// generalisation (the absent-set dataflow across whole sequences) is
+/// exercised by the `citroen-analyze subsume` fuzz campaign.
+pub fn check_subsumed(p: &dyn Pass, q: &dyn Pass, m: &Module) -> Option<String> {
+    let mut cur = m.clone();
+    p.run(&mut cur, &mut Stats::new());
+    check_noop(q, &mut cur).map(|e| {
+        format!("subsumption '{}' → '{}' violated: '{}' {e}", p.name(), q.name(), q.name())
+    })
 }
 
 /// [`check_subsumed`] over every statically-claimed edge of the registry's
@@ -193,26 +192,11 @@ pub fn canonicalizer_inputs(
 /// Returns `None` when the verdict is `MayFire` (nothing to check) or the
 /// theorem holds; `Some(description)` on a contradiction.
 pub fn check_cannot_fire(pass: &dyn Pass, m: &Module) -> Option<String> {
-    let facts = compute_facts(m);
-    if !pass.precondition(m, &facts).is_cannot_fire() {
+    if !pass.precondition(m, &compute_facts(m)).is_cannot_fire() {
         return None;
     }
-    let before = citroen_ir::print::fingerprint(m);
-    let mut mutated = m.clone();
-    let mut stats = Stats::new();
-    pass.run(&mut mutated, &mut stats);
-    let after = citroen_ir::print::fingerprint(&mutated);
-    if before != after {
-        Some(format!("pass '{}' claimed cannot-fire but changed the module fingerprint", pass.name()))
-    } else if !stats.is_empty() {
-        Some(format!(
-            "pass '{}' claimed cannot-fire but recorded statistics: {}",
-            pass.name(),
-            stats.keys().join(", ")
-        ))
-    } else {
-        None
-    }
+    check_noop(pass, &mut m.clone())
+        .map(|e| format!("pass '{}' claimed cannot-fire but {e}", pass.name()))
 }
 
 /// [`check_cannot_fire`] across a whole registry. Returns the first

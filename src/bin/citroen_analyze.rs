@@ -1,5 +1,5 @@
 //! `citroen-analyze`: the static-analysis and translation-validation front
-//! end. Three modes:
+//! end. Seven modes:
 //!
 //! * **lint** (`--lint`): run the dataflow lint suite over the shipped
 //!   benchmark suite (optionally after `-O3`), or over a single IR file with
@@ -30,15 +30,22 @@
 //!   sanitizer, and an interpreter differential, delta-debugging any failure
 //!   down to a minimal pass sequence + module reproducer.
 //!
+//! The four campaigns (fuzz, oracle, subsume, alias-oracle) run through
+//! the one trial loop in [`citroen::fuzz`] and print their findings as the
+//! same violation blocks: subject, detail, sequence, ddmin-reduced sequence
+//! and reduced module. An explicit `--seed` sets the seed of every campaign,
+//! `mine-edges` and `--smoke` budgets included.
+//!
 //! Exits non-zero iff a failure, an oracle violation, or (in lint mode) any
-//! diagnostic was found.
+//! diagnostic was found; exits 2 on a usage error.
 
 use citroen::fuzz::{
     run_alias_campaign, run_campaign, run_oracle_campaign, run_subsumption_campaign, FuzzConfig,
+    Violation,
 };
 use citroen::mine::{run_mine_campaign, MineConfig};
 use citroen_analyze::{filter_severity, lint_module, Severity};
-use citroen_passes::manager::{o3_pipeline, PassManager, Registry};
+use citroen_passes::manager::{o3_pipeline, Pass, PassManager, Registry};
 use citroen_rt::json::Value;
 
 const USAGE: &str = "\
@@ -106,11 +113,12 @@ fn main() {
     let mut cfg = FuzzConfig::default();
     let (mut lint, mut o3, mut errors_only, mut smoke) = (false, false, false, false);
     let (mut oracle, mut with_lying, mut explicit_size) = (false, false, false);
-    let (mut subsume, mut validate, mut with_broken) = (false, false, false);
+    let (mut subsume, mut validate) = (false, false);
     let mut alias_oracle = false;
     let mut mine_edges = false;
     let mut json = false;
     let mut ir_file: Option<String> = None;
+    let mut seed = None;
     while let Some(a) = args.next() {
         match a.as_str() {
             "oracle" => oracle = true,
@@ -129,9 +137,6 @@ fn main() {
             // Test-only: spike the registry with the deliberately lying pass
             // to prove the soundness campaign catches it (hence not in USAGE).
             "--with-lying" => with_lying = true,
-            // Test-only: append the miscompiling unroll to the -O3 pipeline
-            // so `validate` demonstrates value-level localisation.
-            "--with-broken" => with_broken = true,
             "--modules" => {
                 cfg.modules = parse_num(&mut args, "--modules") as usize;
                 explicit_size = true;
@@ -140,8 +145,13 @@ fn main() {
                 cfg.seqs_per_module = parse_num(&mut args, "--seqs") as usize;
                 explicit_size = true;
             }
-            "--max-len" => cfg.max_seq_len = parse_num(&mut args, "--max-len") as usize,
-            "--seed" => cfg.seed = parse_num(&mut args, "--seed"),
+            "--max-len" => {
+                cfg.max_seq_len = parse_num(&mut args, "--max-len") as usize;
+                if cfg.max_seq_len == 0 {
+                    die("--max-len must be at least 1");
+                }
+            }
+            "--seed" => seed = Some(parse_num(&mut args, "--seed")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -151,6 +161,9 @@ fn main() {
     }
     if smoke {
         cfg = FuzzConfig::smoke();
+    }
+    if let Some(seed) = seed {
+        cfg.seed = seed;
     }
 
     if lint {
@@ -173,8 +186,8 @@ fn main() {
     }
     if mine_edges {
         let mut mcfg = if smoke { MineConfig::smoke() } else { MineConfig::default() };
-        if cfg.seed != FuzzConfig::default().seed {
-            mcfg.seed = cfg.seed;
+        if let Some(seed) = seed {
+            mcfg.seed = seed;
         }
         std::process::exit(mine_edges_mode(&mcfg));
     }
@@ -191,7 +204,7 @@ fn main() {
         std::process::exit(alias_oracle_mode(&cfg));
     }
     if validate {
-        std::process::exit(validate_mode(with_broken));
+        std::process::exit(validate_mode());
     }
     std::process::exit(fuzz(&cfg));
 }
@@ -284,37 +297,57 @@ fn lint_file(path: &str, errors_only: bool, json: bool) -> i32 {
     i32::from(!diags.is_empty())
 }
 
+/// The full registry, plus the campaign's deliberately lying pass `lie`
+/// under `--with-lying`.
+fn registry(with_lying: bool, lie: impl Pass + 'static) -> Registry {
+    let mut passes = citroen_passes::passes::all_passes();
+    if with_lying {
+        passes.push(Box::new(lie));
+    }
+    Registry::from_passes(passes)
+}
+
+/// The violation blocks of a campaign report, one per finding, in the same
+/// layout for every mode; empty when the campaign is clean.
+fn violation_blocks(mode: &str, violations: &[Violation]) -> String {
+    let or_none = |s: &str| if s.is_empty() { "(none)".to_string() } else { s.to_string() };
+    violations
+        .iter()
+        .map(|v| {
+            format!(
+                "\n=== {mode} violation: {} (module seed {:#x}) ===\n\
+                 detail:           {}\n\
+                 sequence:         {}\n\
+                 reduced sequence: {}\n\
+                 reduced module:\n{}\n",
+                v.pass,
+                v.module_seed,
+                v.detail,
+                or_none(&v.seq),
+                or_none(&v.reduced_seq),
+                v.reduced_ir
+            )
+        })
+        .collect()
+}
+
 /// Oracle mode: soundness-fuzz every registered precondition, then derive
 /// the pass-interaction graph over the shipped suite. Progress and the
 /// campaign summary go to stderr; the graph JSON is stdout, so
 /// `citroen-analyze oracle > graph.json` does the expected thing.
 fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i32 {
-    let reg = if with_lying {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingPrecondition));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
-
+    let reg = registry(with_lying, citroen_passes::testing::LyingPrecondition);
     eprintln!(
         "citroen-analyze oracle: {} modules x {} sequences (max len {}, seed {:#x})",
         cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
     );
     let report = run_oracle_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        eprintln!("\n=== oracle violation: {} (module seed {:#x}) ===", v.pass, v.module_seed);
-        eprintln!("detail:           {}", v.detail);
-        eprintln!("sequence:         {}", v.seq);
-        eprintln!("reduced sequence: {}", v.reduced_seq);
-        eprintln!("reduced module:\n{}", v.reduced_ir);
-    }
+    eprint!("{}", violation_blocks("oracle", &report.violations));
+    let [checked, verdicts] = report.counts;
     eprintln!(
-        "citroen-analyze oracle: {} trial(s), {} cannot-fire verdict(s) executed \
-         ({} verdicts total), {} violation(s)",
+        "citroen-analyze oracle: {} trial(s), {checked} cannot-fire verdict(s) executed \
+         ({verdicts} verdicts total), {} violation(s)",
         report.trials,
-        report.checked_cannot_fire,
-        report.verdicts,
         report.violations.len()
     );
 
@@ -361,8 +394,8 @@ fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i
                 "campaign".into(),
                 Value::Obj(vec![
                     ("trials".into(), Value::U64(report.trials as u64)),
-                    ("verdicts".into(), Value::U64(report.verdicts)),
-                    ("checked_cannot_fire".into(), Value::U64(report.checked_cannot_fire)),
+                    ("verdicts".into(), Value::U64(verdicts)),
+                    ("checked_cannot_fire".into(), Value::U64(checked)),
                     ("violations".into(), violations),
                 ]),
             ),
@@ -380,17 +413,9 @@ fn oracle_mode(cfg: &FuzzConfig, smoke: bool, with_lying: bool, json: bool) -> i
 /// soundness-fuzz the whole work-class model by replaying random sequences
 /// and executing every drop the canonicalizer would have taken.
 fn subsume_mode(cfg: &FuzzConfig, with_lying: bool) -> i32 {
-    let reg = if with_lying {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::LyingSubsumption));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
-
-    let model = citroen_passes::oracle::work_model(&reg);
+    let reg = registry(with_lying, citroen_passes::testing::LyingSubsumption);
     let names = reg.names();
-    let pairs = model.subsumed_pairs();
+    let pairs = citroen_passes::oracle::work_model(&reg).subsumed_pairs();
     eprintln!("citroen-analyze subsume: {} claimed edge(s) (p subsumes q):", pairs.len());
     for &(p, q) in &pairs {
         eprintln!("    {} -> {}", names[p], names[q]);
@@ -400,22 +425,12 @@ fn subsume_mode(cfg: &FuzzConfig, with_lying: bool) -> i32 {
         cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
     );
     let report = run_subsumption_campaign(cfg, &reg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        eprintln!(
-            "\n=== subsumption violation: {} (module seed {:#x}) ===",
-            v.pass, v.module_seed
-        );
-        eprintln!("detail:           {}", v.detail);
-        eprintln!("sequence:         {}", v.seq);
-        eprintln!("reduced sequence: {}", v.reduced_seq);
-        eprintln!("reduced module:\n{}", v.reduced_ir);
-    }
+    eprint!("{}", violation_blocks("subsumption", &report.violations));
+    let [drops, positions] = report.counts;
     eprintln!(
-        "citroen-analyze subsume: {} trial(s), {} predicted drop(s) executed \
-         ({} positions simulated), {} violation(s)",
+        "citroen-analyze subsume: {} trial(s), {drops} predicted drop(s) executed \
+         ({positions} positions simulated), {} violation(s)",
         report.trials,
-        report.checked_drops,
-        report.positions,
         report.violations.len()
     );
     i32::from(!report.violations.is_empty())
@@ -430,20 +445,13 @@ fn alias_oracle_mode(cfg: &FuzzConfig) -> i32 {
         cfg.modules, cfg.seqs_per_module, cfg.seed
     );
     let report = run_alias_campaign(cfg, |line| eprintln!("{line}"));
-    for v in &report.violations {
-        let seq = if v.seq.is_empty() { "<source IR>".to_string() } else { v.seq.clone() };
-        println!(
-            "alias violation: module seed {:#x} after [{seq}]\n  {}\n{}",
-            v.module_seed, v.detail, v.reduced_ir
-        );
-    }
+    print!("{}", violation_blocks("alias", &report.violations));
+    let [no, must] = report.counts;
     println!(
-        "citroen-analyze alias-oracle: {} module(s), {} state(s), {} No + {} Must claim(s) \
+        "citroen-analyze alias-oracle: {} module(s), {} state(s), {no} No + {must} Must claim(s) \
          checked, {} violation(s)",
-        report.modules,
+        cfg.modules,
         report.trials,
-        report.no_claims,
-        report.must_claims,
         report.violations.len()
     );
     i32::from(!report.violations.is_empty())
@@ -502,40 +510,16 @@ fn mine_edges_mode(cfg: &MineConfig) -> i32 {
 /// armed sanitizer; each pass's pre/post facts are cross-checked at both
 /// function (S1–S5) and value (S6–S8) granularity, so a structurally valid
 /// miscompile is localised to the offending pass and value.
-fn validate_mode(with_broken: bool) -> i32 {
-    let reg = if with_broken {
-        let mut passes = citroen_passes::passes::all_passes();
-        passes.push(Box::new(citroen_passes::testing::BrokenUnroll));
-        Registry::from_passes(passes)
-    } else {
-        Registry::full()
-    };
+fn validate_mode() -> i32 {
+    let reg = Registry::full();
     let mut pm = PassManager::new(&reg);
     pm.sanitize = true;
-    let mut seq = o3_pipeline(&reg);
-    if with_broken {
-        // Prepend: the miscompile needs the source IR's store-then-ret loop
-        // exits, which -O3 itself rewrites away.
-        seq.insert(0, reg.by_name("broken-unroll").expect("spiked registry"));
-    }
-
-    let mut modules: Vec<(String, citroen_ir::Module)> = citroen_suite::cbench()
-        .into_iter()
-        .chain(citroen_suite::spec())
-        .map(|b| (b.name.to_string(), b.link()))
-        .collect();
-    if with_broken {
-        // The shipped suite never has the exact trigger shape, so add the
-        // module that does — the run should end with the miscompile pinned
-        // to the pass and the dangling value id.
-        modules.push(("victim_computed".to_string(), citroen_passes::testing::victim_module_computed()));
-    }
-
+    let seq = o3_pipeline(&reg);
     let mut dirty = 0usize;
-    for (name, m) in &modules {
-        let bench = name.as_str();
-        match pm.compile_result(m, &seq) {
-            Ok(_) => println!("citroen-analyze validate: {bench}: ok"),
+    for bench in citroen_suite::cbench().into_iter().chain(citroen_suite::spec()) {
+        let name = bench.name;
+        match pm.compile_result(&bench.link(), &seq) {
+            Ok(_) => println!("citroen-analyze validate: {name}: ok"),
             Err(citroen_passes::manager::CompileError::Sanitize { pass, violations }) => {
                 dirty += 1;
                 for v in &violations {
@@ -543,13 +527,13 @@ fn validate_mode(with_broken: bool) -> i32 {
                         .value
                         .map(|id| format!(" (value %{id})"))
                         .unwrap_or_default();
-                    println!("citroen-analyze validate: {bench}: pass '{pass}': {v}{at}");
+                    println!("citroen-analyze validate: {name}: pass '{pass}': {v}{at}");
                 }
             }
             Err(citroen_passes::manager::CompileError::Verify { pass, errors }) => {
                 dirty += 1;
                 for e in &errors {
-                    println!("citroen-analyze validate: {bench}: pass '{pass}': verifier: {e}");
+                    println!("citroen-analyze validate: {name}: pass '{pass}': verifier: {e}");
                 }
             }
         }
@@ -567,16 +551,11 @@ fn fuzz(cfg: &FuzzConfig) -> i32 {
         cfg.modules, cfg.seqs_per_module, cfg.max_seq_len, cfg.seed
     );
     let report = run_campaign(cfg, |line| println!("{line}"));
-    for f in &report.failures {
-        println!("\n=== {} failure (module seed {:#x}) ===", f.kind, f.module_seed);
-        println!("sequence:         {}", f.seq);
-        println!("reduced sequence: {}", f.reduced_seq);
-        println!("reduced module:\n{}", f.reduced_ir);
-    }
+    print!("{}", violation_blocks("fuzz", &report.violations));
     println!(
         "citroen-analyze: {} trial(s), {} failure(s)",
         report.trials,
-        report.failures.len()
+        report.violations.len()
     );
-    i32::from(!report.failures.is_empty())
+    i32::from(!report.violations.is_empty())
 }

@@ -54,6 +54,31 @@ fn usage_error_exits_2() {
     // A flag missing its value is also a usage error.
     assert_eq!(analyze(&["--ir"]).status.code(), Some(2));
     assert_eq!(analyze(&["--lint", "--ir", "/no/such/file.ir"]).status.code(), Some(2));
+
+    // A zero maximum sequence length leaves no length to draw: a usage
+    // error naming the flag, in every campaign mode.
+    for mode in [&[][..], &["subsume"][..]] {
+        let args = [mode, &["--max-len", "0", "--modules", "1", "--seqs", "1"]].concat();
+        let out = analyze(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--max-len"), "{err}");
+    }
+}
+
+#[test]
+fn mine_edges_runs_the_seed_it_reports() {
+    // `--smoke` runs the mining smoke budget at its own seed, and an explicit
+    // `--seed` wins over it, even when it equals the fuzz campaigns' default.
+    for (args, seed) in [
+        (&["mine-edges", "--smoke"][..], "seed 0x7)"),
+        (&["mine-edges", "--smoke", "--seed", "0xC17B0E"][..], "seed 0xc17b0e)"),
+    ] {
+        let out = analyze(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.lines().next().is_some_and(|l| l.ends_with(seed)), "{args:?}: {err}");
+    }
 }
 
 #[test]
